@@ -45,7 +45,9 @@
  *                           instead of rollback + quarantine
  *     --verify-each-pass    run the graph verifier AND the memory-
  *                           ordering soundness checker after every
- *                           pass (errors roll the pass back)
+ *                           pass that changed the graph (errors roll
+ *                           the pass back; an unchanged graph that
+ *                           already passed is not checked again)
  *     --no-verify           skip graph verification entirely
  *     --analyze[=r1,r2]     run the lint rules over the final graphs
  *                           (default: all rules; see docs/ANALYSIS.md)

@@ -1,6 +1,8 @@
 #include "opt/pass.h"
 
 #include <chrono>
+#include <exception>
+#include <optional>
 
 #include "analysis/ordering_checker.h"
 #include "pegasus/verifier.h"
@@ -194,15 +196,52 @@ standardPipeline(OptLevel level)
 
 namespace {
 
+/**
+ * What the pass manager knows about one graph between pass runs.
+ * Every pass run is journaled (Graph::beginJournal()), so a run that
+ * touched nothing provably left the graph as it was: its shape is
+ * unchanged, and checks that are pure functions of the graph need not
+ * run again once they have passed.
+ */
+struct GraphState
+{
+    /** The graph as it stands passed every enabled per-pass check. */
+    bool clean = false;
+    /** The graph's current shape, once measured. */
+    std::optional<IrShape> shape;
+    /** opt.verify.runs */
+    int64_t verifyRuns = 0;
+    /** opt.journal.nodes_saved */
+    int64_t nodesSaved = 0;
+};
+
+/** Rolls the journal back on any exit that did not close it. */
+class JournalGuard
+{
+  public:
+    explicit JournalGuard(Graph& g) : g_(g) { g_.beginJournal(); }
+    ~JournalGuard()
+    {
+        if (g_.journalOpen())
+            g_.rollbackJournal();
+    }
+    JournalGuard(const JournalGuard&) = delete;
+    JournalGuard& operator=(const JournalGuard&) = delete;
+
+  private:
+    Graph& g_;
+};
+
 /** Run one pass and record its span, wall time and IR/stats deltas. */
 bool
-runInstrumented(Pass& pass, Graph& g, OptContext& ctx, int round)
+runInstrumented(Pass& pass, Graph& g, OptContext& ctx, int round,
+                GraphState& st)
 {
     using Clock = std::chrono::steady_clock;
     TraceRecorder* tracer =
         ctx.tracer && ctx.tracer->enabled() ? ctx.tracer : nullptr;
 
-    IrShape before = measureIr(g);
+    IrShape before = st.shape ? *st.shape : measureIr(g);
     StatSet statsBefore;
     if (tracer && ctx.stats)
         statsBefore = *ctx.stats;
@@ -213,7 +252,8 @@ runInstrumented(Pass& pass, Graph& g, OptContext& ctx, int round)
     int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
                      Clock::now() - t0)
                      .count();
-    IrShape after = measureIr(g);
+    IrShape after = g.journalTouched() ? measureIr(g) : before;
+    st.shape = after;
     StatSet passDelta;
     if (tracer && ctx.stats)
         passDelta = ctx.stats->diff(statsBefore);
@@ -250,18 +290,18 @@ runInstrumented(Pass& pass, Graph& g, OptContext& ctx, int round)
 }
 
 /**
- * Run one pass under fault isolation: snapshot, execute (with any
+ * Run one pass under fault isolation: journal, execute (with any
  * matching injected faults), verify, and on failure roll back and
  * report.  Returns whether the graph changed; sets @p failed.
  */
 bool
 runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
-            bool* failed)
+            GraphState& st, bool* failed)
 {
     *failed = false;
-    std::unique_ptr<Graph> snapshot;
-    if (ctx.isolatePasses)
-        snapshot = g.clone();
+    const bool cleanBefore = st.clean;
+    const std::optional<IrShape> shapeBefore = st.shape;
+    JournalGuard journal(g);
 
     bool changed = false;
     PassFailure fail;
@@ -270,7 +310,7 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
             ctx.faults->match("pass.throw", g.name, pass.name(), round))
             throw InjectedFault(std::string("injected fault in pass '") +
                                 pass.name() + "' on '" + g.name + "'");
-        changed = runInstrumented(pass, g, ctx, round);
+        changed = runInstrumented(pass, g, ctx, round, st);
         if (ctx.faults) {
             const FaultSpec* fs = ctx.faults->match(
                 "graph.corrupt-token", g.name, pass.name(), round);
@@ -278,9 +318,14 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
                 std::string what = corruptTokenEdge(g, fs->seed);
                 if (!what.empty())
                     trace(1, "fault injection: " + what);
+                st.shape.reset();
             }
         }
-        if (ctx.verifyAfterEachPass) {
+        // The checks are pure functions of the graph: an untouched
+        // graph that last passed them passes them again.
+        const bool recheck = g.journalTouched() || !st.clean;
+        if (ctx.verifyAfterEachPass && recheck) {
+            st.verifyRuns++;
             std::vector<std::string> problems = verifyGraph(g);
             if (!problems.empty()) {
                 fail.code = ErrorCode::VerifyError;
@@ -289,7 +334,7 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
                     std::to_string(problems.size()) + " problems)";
             }
         }
-        if (fail.code == ErrorCode::Ok && ctx.checkOrdering) {
+        if (fail.code == ErrorCode::Ok && ctx.checkOrdering && recheck) {
             // Independent soundness oracle: the structural verifier
             // accepts any well-formed graph, but a pass can be
             // well-formed and still have dropped an ordering edge.
@@ -304,12 +349,18 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
                     std::to_string(findings.size()) + " findings)";
             }
         }
-    } catch (const FatalError& e) {
+    } catch (const std::exception& e) {
+        // A FatalError, or a bug such as the std::out_of_range of a
+        // bad Node::input() index: isolated alike.
         fail.code = ErrorCode::PassError;
         fail.message = e.what();
     }
-    if (fail.code == ErrorCode::Ok)
+    st.nodesSaved += static_cast<int64_t>(g.journalSavedNodes());
+    if (fail.code == ErrorCode::Ok) {
+        g.commitJournal();
+        st.clean = true;
         return changed;
+    }
 
     fail.function = g.name;
     fail.pass = pass.name();
@@ -318,10 +369,13 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
         fatal("pass '" + fail.pass + "' failed on '" + fail.function +
               "': " + fail.message);
 
-    // Roll back to the last-good graph and report.  The snapshot is
-    // byte-exact (see Graph::clone), so downstream passes see the
-    // graph as if the failed pass had never run.
-    g = std::move(*snapshot);
+    // Roll back to the last-good graph and report.  The journal
+    // restores every node the pass changed and drops the ones it
+    // created, so downstream passes see the graph as if the failed
+    // pass had never run.
+    g.rollbackJournal();
+    st.clean = cleanBefore;
+    st.shape = shapeBefore;
     *failed = true;
     ctx.count("opt.rollbacks");
     if (ctx.failures)
@@ -347,6 +401,7 @@ optimizeImpl(Graph& g,
     // Once a pass fails on this function it is quarantined: skipped
     // for the remaining rounds of this function only.
     std::vector<bool> quarantined(passes.size(), false);
+    GraphState st;
     int round = 0;
     bool changed = true;
     while (changed && round < maxRounds) {
@@ -356,7 +411,8 @@ optimizeImpl(Graph& g,
             if (quarantined[pi])
                 continue;
             bool failed = false;
-            changed |= runIsolated(*passes[pi], g, ctx, round, &failed);
+            changed |=
+                runIsolated(*passes[pi], g, ctx, round, st, &failed);
             if (failed) {
                 quarantined[pi] = true;
                 ctx.count("opt.quarantined_passes");
@@ -364,6 +420,8 @@ optimizeImpl(Graph& g,
         }
     }
     g.compact();
+    ctx.count("opt.verify.runs", st.verifyRuns);
+    ctx.count("opt.journal.nodes_saved", st.nodesSaved);
     whole.arg("rounds", round);
     if (levelName)
         whole.arg("level", levelName);

@@ -39,7 +39,7 @@ class InterprocModel;
  * Structured diagnostic for one failed pass run: the pass either threw
  * (ErrorCode::PassError) or left the graph in a state the verifier
  * rejects (ErrorCode::VerifyError).  With isolation enabled the graph
- * was rolled back to its pre-pass snapshot and the pass quarantined
+ * was rolled back to its pre-pass state and the pass quarantined
  * for this function; compilation of everything else continued.
  */
 struct PassFailure
@@ -93,11 +93,11 @@ struct OptContext
      */
     const InterprocModel* interproc = nullptr;
     /**
-     * Fault isolation: snapshot the graph before each pass; on a pass
-     * throwing or failing verification, roll back to the snapshot,
-     * quarantine that pass for this function, record a PassFailure and
-     * keep going.  When off (strict mode), the same failures raise a
-     * FatalError instead.
+     * Fault isolation: journal each pass run; on a pass throwing or
+     * failing verification, roll the journal back, quarantine that
+     * pass for this function, record a PassFailure and keep going.
+     * When off (strict mode), the same failures raise a FatalError
+     * instead, after the pass is rolled back.
      */
     bool isolatePasses = false;
     /** Worker-owned failure sink (may be null: failures not recorded). */

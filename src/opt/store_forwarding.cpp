@@ -135,6 +135,7 @@ class StoreForwardingPass : public Pass
         g.addInput(mux, {load, 0});
 
         g.setInput(load, 0, residual);
+        g.touch(load);
         load->storeForwarded = true;
         ctx.count(dominated ? "opt.store_forwarding.removed"
                             : "opt.store_forwarding.bypassed");

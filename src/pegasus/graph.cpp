@@ -9,10 +9,12 @@ Node*
 Graph::newNode(NodeKind kind, VT type, int hyperblock)
 {
     auto n = std::make_unique<Node>();
-    n->id = static_cast<int>(nodes_.size());
+    n->id = nextId_++;
     n->kind = kind;
     n->type = type;
     n->hyperblock = hyperblock;
+    // New under the open journal: rollback drops it, never restores it.
+    n->journalEpoch_ = epoch_;
     nodes_.push_back(std::move(n));
     return nodes_.back().get();
 }
@@ -60,6 +62,8 @@ void
 Graph::addInput(Node* n, PortRef v, bool backEdge)
 {
     CASH_ASSERT(v.valid(), "adding invalid input");
+    save(n);
+    save(v.node);
     n->inputs_.push_back(v);
     n->backEdge_.push_back(backEdge);
     v.node->uses_.push_back({n, static_cast<int>(n->inputs_.size()) - 1});
@@ -68,6 +72,7 @@ Graph::addInput(Node* n, PortRef v, bool backEdge)
 void
 Graph::unuse(Node* producer, Node* user, int index)
 {
+    save(producer);
     auto& uses = producer->uses_;
     for (size_t i = 0; i < uses.size(); i++) {
         if (uses[i].user == user && uses[i].index == index) {
@@ -86,11 +91,14 @@ Graph::setInput(Node* n, int index, PortRef v)
     PortRef old = n->inputs_[index];
     if (old == v)
         return;
+    save(n);
     if (old.valid())
         unuse(old.node, n, index);
     n->inputs_[index] = v;
-    if (v.valid())
+    if (v.valid()) {
+        save(v.node);
         v.node->uses_.push_back({n, index});
+    }
 }
 
 void
@@ -99,6 +107,7 @@ Graph::removeInput(Node* n, int index)
     CASH_ASSERT(index >= 0 && index < n->numInputs(), "bad input index");
     CASH_ASSERT(index != n->deciderIndex,
                 "removing a merge decider input directly");
+    save(n);
     if (n->deciderIndex > index)
         n->deciderIndex--;
     PortRef old = n->inputs_[index];
@@ -109,6 +118,7 @@ Graph::removeInput(Node* n, int index)
     for (int i = index + 1; i < n->numInputs(); i++) {
         PortRef in = n->inputs_[i];
         if (in.valid()) {
+            save(in.node);
             for (Use& u : in.node->uses_) {
                 if (u.user == n && u.index == i)
                     u.index = i - 1;
@@ -126,6 +136,7 @@ Graph::removeDecider(Node* merge)
 {
     CASH_ASSERT(merge->deciderIndex >= 0, "no decider to remove");
     int idx = merge->deciderIndex;
+    save(merge);
     merge->deciderIndex = -1;
     removeInput(merge, idx);
 }
@@ -147,6 +158,7 @@ void
 Graph::erase(Node* n)
 {
     CASH_ASSERT(n->uses_.empty(), "erasing node with uses: " + n->str());
+    save(n);
     for (int i = 0; i < n->numInputs(); i++) {
         PortRef in = n->inputs_[i];
         if (in.valid())
@@ -160,6 +172,7 @@ Graph::erase(Node* n)
 void
 Graph::compact()
 {
+    CASH_ASSERT(!journalOpen_, "compacting under an open journal");
     // Keep ids stable for live nodes but drop dead storage.
     std::vector<std::unique_ptr<Node>> keep;
     keep.reserve(nodes_.size());
@@ -167,49 +180,43 @@ Graph::compact()
         if (!n->dead)
             keep.push_back(std::move(n));
     nodes_ = std::move(keep);
+    // The pass manager is done with this graph: free the journal's
+    // buffer, sized for the largest pass run, rather than keep it for
+    // the graph's lifetime.
+    std::vector<SavedNode>().swap(saved_);
 }
 
-std::unique_ptr<Graph>
-Graph::clone() const
+void
+Graph::beginJournal()
 {
-    auto out = std::make_unique<Graph>();
-    out->name = name;
-    out->decl = decl;
-    out->numParams = numParams;
-    out->hasFrame = hasFrame;
-    out->frameBytes = frameBytes;
-    out->hyperblocks = hyperblocks;
-    out->numPartitions = numPartitions;
+    CASH_ASSERT(!journalOpen_, "nested graph journal");
+    journalOpen_ = true;
+    epoch_++;
+    watermark_ = nodes_.size();
+    idWatermark_ = nextId_;
+    saved_.clear();
+}
 
-    // Replicate every node slot (dead ones included) so ids and
-    // iteration order match exactly.
-    std::map<const Node*, Node*> remap;
-    out->nodes_.reserve(nodes_.size());
-    for (const auto& n : nodes_) {
-        auto copy = std::make_unique<Node>(*n);
-        // The copied input/use lists still point into this graph;
-        // remapped below once every counterpart exists.
-        remap[n.get()] = copy.get();
-        out->nodes_.push_back(std::move(copy));
-    }
-    auto mapped = [&](Node* old) -> Node* {
-        return old ? remap.at(old) : nullptr;
-    };
-    for (const auto& n : out->nodes_) {
-        for (PortRef& in : n->inputs_)
-            in.node = mapped(in.node);
-        for (Use& u : n->uses_)
-            u.user = mapped(u.user);
-    }
+void
+Graph::commitJournal()
+{
+    CASH_ASSERT(journalOpen_, "committing without a journal");
+    journalOpen_ = false;
+    saved_.clear();
+}
 
-    for (Node* p : paramNodes)
-        out->paramNodes.push_back(mapped(p));
-    out->initialToken = mapped(initialToken);
-    for (Node* r : returnNodes)
-        out->returnNodes.push_back(mapped(r));
-    for (const auto& [key, merge] : ringMerge)
-        out->ringMerge[key] = mapped(merge);
-    return out;
+void
+Graph::rollbackJournal()
+{
+    CASH_ASSERT(journalOpen_, "rolling back without a journal");
+    // Each node was saved once, before its first change, so the saved
+    // copies are the pre-journal state whatever order they return in.
+    for (SavedNode& s : saved_)
+        *s.slot = std::move(s.before);
+    nodes_.resize(watermark_);
+    nextId_ = idWatermark_;
+    journalOpen_ = false;
+    saved_.clear();
 }
 
 std::vector<Node*>

@@ -47,7 +47,7 @@ class Graph
     /** Number of memory partitions (token rings) in this procedure. */
     int numPartitions = 0;
     /** Token-ring merge node per (hyperblock, partition); builder-set,
-     *  maintained by the loop-pipelining passes. */
+     *  read by the loop-pipelining passes. */
     std::map<std::pair<int, int>, Node*> ringMerge;
 
     // -----------------------------------------------------------------
@@ -91,24 +91,55 @@ class Graph
      */
     void erase(Node* n);
 
-    /** Drop dead nodes from the node list (invalidates ids order). */
+    /** Drop dead nodes from the node list.  Live ids are unchanged,
+     *  and later nodes never reuse an id.  Not under a journal. */
     void compact();
 
     // -----------------------------------------------------------------
-    // Snapshot / restore (pass isolation)
+    // Undo journal (pass isolation)
     // -----------------------------------------------------------------
 
     /**
-     * Deep-copy the graph: every node slot (live and dead) is
-     * replicated in order with identical ids, inputs, back-edge flags
-     * and use-list ordering, and all distinguished-node pointers
-     * (params, initial token, returns, ring merges) are remapped.
-     * The pass manager snapshots a function before each pass and
-     * move-assigns the snapshot back on rollback; the copy is exact,
-     * so a rolled-back graph is indistinguishable from one the failed
-     * pass never touched.
+     * Open an undo journal.  Until it is closed, every mutator above
+     * that changes a node which existed when the journal opened first
+     * saves a by-value copy of that node; nodes created since are
+     * only marked.  rollbackJournal() copies the saved nodes back in
+     * place and drops the new ones, so node addresses, ids and every
+     * PortRef held across the rollback stay valid, and the graph is
+     * indistinguishable from one the journaled code never touched.
+     *
+     * The touch() contract: code that writes a public field of a
+     * pre-existing node directly, rather than through the mutators,
+     * must call touch() on that node first.  Otherwise a rollback
+     * does not restore the field and journalTouched() misses the
+     * change.  Graph-level fields (params, returns, ring merges,
+     * hyperblocks) belong to the builder and are not journaled.
      */
-    std::unique_ptr<Graph> clone() const;
+    void beginJournal();
+
+    /** Keep every change since beginJournal() and close the journal. */
+    void commitJournal();
+
+    /** Undo every change since beginJournal() and close the journal. */
+    void rollbackJournal();
+
+    bool journalOpen() const { return journalOpen_; }
+
+    /** Whether any node was changed or created since beginJournal(). */
+    bool
+    journalTouched() const
+    {
+        return !saved_.empty() || nodes_.size() != watermark_;
+    }
+
+    /** Pre-existing nodes saved by the open journal. */
+    size_t journalSavedNodes() const { return saved_.size(); }
+
+    /** Announce a direct write to a public field of @p n (see above). */
+    void touch(Node* n) { save(n); }
+
+    /** Exclusive upper bound of every node id ever assigned here. */
+    int idLimit() const { return nextId_; }
 
     // -----------------------------------------------------------------
     // Inspection
@@ -142,8 +173,35 @@ class Graph
     void bypassToken(Node* victim, PortRef replacement);
 
   private:
+    /** A pre-existing node as it was before the journal touched it. */
+    struct SavedNode
+    {
+        Node* slot;
+        Node before;
+    };
+
     std::vector<std::unique_ptr<Node>> nodes_;
+    /** Next node id; monotone, so ids stay unique across compact(). */
+    int nextId_ = 0;
+
+    bool journalOpen_ = false;
+    /** Journal generation; a node saved in this one carries it. */
+    uint32_t epoch_ = 0;
+    size_t watermark_ = 0;
+    int idWatermark_ = 0;
+    std::vector<SavedNode> saved_;
+
     void unuse(Node* producer, Node* user, int index);
+
+    /** Journal @p n on its first change since beginJournal(). */
+    void
+    save(Node* n)
+    {
+        if (journalOpen_ && n->journalEpoch_ != epoch_) {
+            n->journalEpoch_ = epoch_;
+            saved_.push_back({n, *n});
+        }
+    }
 };
 
 } // namespace cash

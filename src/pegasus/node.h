@@ -90,6 +90,11 @@ struct Use
  *
  * Inputs are ordered PortRefs; the matching Use lists on producers are
  * maintained by the Graph mutation API (never modify inputs directly).
+ *
+ * The public fields below may be written directly, but a pass that
+ * writes one on a node it did not create in the same run must call
+ * Graph::touch() on the node first, so the pass manager's undo
+ * journal can restore it (see Graph::beginJournal()).
  */
 class Node
 {
@@ -175,6 +180,8 @@ class Node
 
   private:
     friend class Graph;
+    /** Graph journal generation that last saved or created this node. */
+    uint32_t journalEpoch_ = 0;
     std::vector<PortRef> inputs_;
     std::vector<bool> backEdge_;
     std::vector<Use> uses_;

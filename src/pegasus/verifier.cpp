@@ -1,7 +1,6 @@
 #include "pegasus/verifier.h"
 
-#include <map>
-#include <set>
+#include <cstdint>
 
 #include "support/diagnostics.h"
 
@@ -207,33 +206,57 @@ verifyGraph(const Graph& g)
         }
     });
 
-    // Acyclicity of the forward graph (back edges removed).
-    std::map<const Node*, int> state;  // 0 unseen, 1 open, 2 done
+    // Acyclicity of the forward graph (back edges removed): a DFS
+    // over inputs in index order.  Node ids are unique, so the visit
+    // state is a dense array; an input from outside the id range
+    // (another graph's node) grows it.
+    enum : uint8_t { Unseen, Open, Done };
+    std::vector<uint8_t> state(static_cast<size_t>(g.idLimit()), Unseen);
+    auto stateOf = [&](const Node* n) -> uint8_t& {
+        size_t id = static_cast<size_t>(n->id);
+        if (id >= state.size())
+            state.resize(id + 1, Unseen);
+        return state[id];
+    };
+    struct Frame
+    {
+        const Node* node;
+        int next;  ///< Next input index to visit.
+    };
+    std::vector<Frame> stack;
     bool cyclic = false;
-    std::function<void(const Node*)> dfs = [&](const Node* n) {
-        if (cyclic)
+    g.forEach([&](Node* root) {
+        if (cyclic || stateOf(root) != Unseen)
             return;
-        state[n] = 1;
-        for (int i = 0; i < n->numInputs(); i++) {
-            if (n->inputIsBackEdge(i))
+        stateOf(root) = Open;
+        stack.push_back({root, 0});
+        while (!stack.empty()) {
+            Frame& f = stack.back();
+            if (f.next == f.node->numInputs()) {
+                stateOf(f.node) = Done;
+                stack.pop_back();
                 continue;
-            const Node* in = n->input(i).node;
+            }
+            int i = f.next++;
+            if (f.node->inputIsBackEdge(i))
+                continue;
+            const Node* in = f.node->input(i).node;
             if (!in || in->dead)
                 continue;
-            int s = state[in];
-            if (s == 1) {
+            uint8_t s = stateOf(in);
+            if (s == Open) {
+                // Report the cycle and return from this node, leaving
+                // it open.  Each node still on the stack then finishes
+                // its remaining inputs, reporting any that are open,
+                // but descends no further.
                 cyclic = true;
                 problems.push_back("cycle through " + in->str());
-                return;
+                stack.pop_back();
+            } else if (s == Unseen && !cyclic) {
+                stateOf(in) = Open;
+                stack.push_back({in, 0});
             }
-            if (s == 0)
-                dfs(in);
         }
-        state[n] = 2;
-    };
-    g.forEach([&](Node* n) {
-        if (!cyclic && state[n] == 0)
-            dfs(n);
     });
 
     return problems;
