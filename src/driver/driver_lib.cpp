@@ -1,5 +1,6 @@
 #include "driver/driver_lib.h"
 
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 
@@ -166,8 +167,19 @@ runDriverRequest(const DriverRequest& req)
                 fabricPtr = &fabric;
             }
 
+            // Simulation wall time (time.sim.*): construction (index
+            // build, region compile) and the run itself.
+            using Clock = std::chrono::steady_clock;
+            auto us = [](Clock::time_point a, Clock::time_point b) {
+                return static_cast<int64_t>(
+                    std::chrono::duration_cast<std::chrono::microseconds>(
+                        b - a)
+                        .count());
+            };
+            const Clock::time_point t0 = Clock::now();
             DataflowSimulator sim(r.graphPtrs(), *r.layout, mc,
                                   engine, fabricPtr);
+            const Clock::time_point t1 = Clock::now();
             if (req.tracer && req.tracer->enabled())
                 sim.setTracer(req.tracer);
             if (req.maxEvents)
@@ -177,11 +189,14 @@ runDriverRequest(const DriverRequest& req)
             if (req.faults && !req.faults->empty())
                 sim.setFaultPlan(req.faults);
             SimResult out = sim.run(fname, args);
+            const Clock::time_point t2 = Clock::now();
             rep.ranSim = true;
             rep.simOutcome = out.outcome;
             rep.returnValue = out.returnValue;
             rep.cycles = out.cycles;
             rep.simStats = out.stats;
+            rep.simStats.set("time.sim.setup.us", us(t0, t1));
+            rep.simStats.set("time.sim.run.us", us(t1, t2));
             if (out.ok()) {
                 rep.simStats.set("sim.returnValue",
                                  static_cast<int64_t>(out.returnValue));

@@ -1,8 +1,6 @@
 #include "sim/dataflow_sim.h"
 
 #include <algorithm>
-#include <functional>
-#include <set>
 
 #include "sim/latency.h"
 #include "sim/value.h"
@@ -99,10 +97,17 @@ DataflowSimulator::buildIndex(const Graph* g)
     GraphIndex gi;
     gi.g = g;
     std::vector<Node*> nodes = g->liveNodes();
-    std::map<const Node*, int> dense;  // index-time only; the hot path
-                                       // uses the flat CSR arrays
+    // Dense index by node id (ids are unique within a graph); -1 for
+    // any node that is not one of this graph's live nodes.
+    std::vector<int32_t> denseById(static_cast<size_t>(g->idLimit()), -1);
     for (size_t i = 0; i < nodes.size(); i++)
-        dense[nodes[i]] = static_cast<int>(i);
+        denseById[nodes[i]->id] = static_cast<int32_t>(i);
+    auto denseOf = [&](const Node* n) -> int32_t {
+        if (n->id < 0 || n->id >= g->idLimit())
+            return -1;
+        const int32_t d = denseById[n->id];
+        return d >= 0 && nodes[d] == n ? d : -1;
+    };
 
     // Tiled fabric: the placement for this graph, if one was supplied.
     const Placement* placed = nullptr;
@@ -124,44 +129,56 @@ DataflowSimulator::buildIndex(const Graph* g)
     // (custom pipelines, quarantined passes, raw builder output).
     // Folding them into the consumers' input descriptors makes the
     // engine independent of any optimizer invariant.
-    std::map<const Node*, std::pair<bool, uint32_t>> staticMemo;
-    std::set<const Node*> staticVisiting;  // cycle guard
-    std::function<bool(const Node*, uint32_t&)> staticValue =
-        [&](const Node* n, uint32_t& out) -> bool {
-        auto it = staticMemo.find(n);
-        if (it != staticMemo.end()) {
-            out = it->second.second;
-            return it->second.first;
+    //
+    // Memoized per dense node (0 = not yet computed, 1 = known,
+    // 2 = not static); `visiting` guards cycles.  A node outside the
+    // graph is evaluated without memoization.
+    std::vector<uint8_t> memo(nodes.size(), 0);
+    std::vector<uint32_t> memoValue(nodes.size(), 0);
+    std::vector<uint8_t> visiting(nodes.size(), 0);
+    auto staticRec = [&](auto& self, const Node* n,
+                         uint32_t& out) -> bool {
+        const int32_t d = denseOf(n);
+        if (d >= 0 && memo[d]) {
+            out = memoValue[d];
+            return memo[d] == 1;
         }
         bool known = false;
         uint32_t v = 0;
         if (n->kind == NodeKind::Const) {
             known = true;
             v = static_cast<uint32_t>(n->constValue);
-        } else if (n->kind == NodeKind::Arith &&
-                   staticVisiting.insert(n).second) {
+        } else if (n->kind == NodeKind::Arith && d >= 0 &&
+                   !visiting[d]) {
+            visiting[d] = 1;
             if ((n->op == Op::Copy || opIsUnary(n->op)) &&
                 n->numInputs() == 1) {
                 uint32_t x;
                 if (n->input(0).valid() &&
-                    staticValue(n->input(0).node, x)) {
+                    self(self, n->input(0).node, x)) {
                     known = true;
                     v = evalUnary(n->op, x);
                 }
             } else if (n->numInputs() == 2) {
                 uint32_t x, y;
                 if (n->input(0).valid() && n->input(1).valid() &&
-                    staticValue(n->input(0).node, x) &&
-                    staticValue(n->input(1).node, y)) {
+                    self(self, n->input(0).node, x) &&
+                    self(self, n->input(1).node, y)) {
                     known = true;
                     v = evalBinary(n->op, x, y);
                 }
             }
-            staticVisiting.erase(n);
+            visiting[d] = 0;
         }
-        staticMemo[n] = {known, v};
+        if (d >= 0) {
+            memo[d] = known ? 1 : 2;
+            memoValue[d] = v;
+        }
         out = v;
         return known;
+    };
+    auto staticValue = [&](const Node* n, uint32_t& out) {
+        return staticRec(staticRec, n, out);
     };
     gi.nodes.resize(nodes.size());
     gi.hot.resize(nodes.size() + 1);  // +1: sentinel (input counts)
@@ -222,7 +239,9 @@ DataflowSimulator::buildIndex(const Graph* g)
                 uint32_t mv = 0;
                 if (staticValue(m->input(k).node, mv))
                     gi.mergeInits.push_back(
-                        {static_cast<int>(i), k, mv});
+                        {{static_cast<int32_t>(i),
+                          gi.hot[i].fifoBase + k},
+                         mv});
             }
         }
     }
@@ -253,7 +272,8 @@ DataflowSimulator::buildIndex(const Graph* g)
                 in.constValue = d.constValue;
                 if (!d.isConst) {
                     const PortRef& pr = nodes[i]->input(k);
-                    in.node = dense.at(pr.node);
+                    in.node = denseOf(pr.node);
+                    CASH_ASSERT(in.node >= 0, "input from foreign node");
                     in.port = pr.port;
                 }
                 if (isMerge) {
@@ -279,35 +299,38 @@ DataflowSimulator::buildIndex(const Graph* g)
         regionsTotal_ +=
             static_cast<int64_t>(gi.plan.regions.size());
         if (!gi.plan.regions.empty()) {
-            haveRegions_ = true;
-            const size_t cm = static_cast<size_t>(
-                gi.plan.regions[0].coneMax);
+            const CompiledRegion& R = gi.plan.regions[0];
+            const size_t cm = static_cast<size_t>(R.coneMax);
             if (cm > regVal_.size()) {
                 regVal_.resize(cm);
                 regTim_.resize(cm);
             }
+            const size_t words = (R.visits.size() + 63) / 64;
+            if (words > regWaveBits_.size()) {
+                regWaveBits_.resize(words, 0);
+                regNextBits_.resize(words, 0);
+            }
+            gi.visitBase = static_cast<int32_t>(regVisitFires_.size());
+            regVisitFires_.resize(regVisitFires_.size() + R.visits.size(),
+                                  0);
         }
 
         const size_t numR = gi.plan.regions.size();
         gi.nodes.resize(nodes.size() + numR);
         gi.hot.resize(nodes.size() + numR + 1);
         for (size_t r = 0; r < numR; r++) {
-            const CompiledRegion& R = gi.plan.regions[r];
             NodeHot& h = gi.hot[nodes.size() + r];
             h.kind = kRegionKind;
-            h.fifoBase = gi.numFifoSlots;
+            h.fifoBase = gi.numFifoSlots;  // no fifo slots
             h.portBase = gi.numPortSlots;
-            h.need = static_cast<uint16_t>(R.inputs.size());
-            gi.numFifoSlots += static_cast<int>(R.inputs.size());
             gi.numPortSlots += 1;  // placeholder port (no consumers)
-            for (size_t k = 0; k < R.inputs.size(); k++)
-                gi.inDesc.push_back(InputDesc{});
             gi.nodes[nodes.size() + r].region =
                 static_cast<int32_t>(r);
             // The pseudo-node lives on its (single) tile: the group
             // constraint above keeps every tape op on one tile.
             if (placed)
-                gi.tileOf.push_back(gi.tileOf[R.tape[0].dense]);
+                gi.tileOf.push_back(
+                    gi.tileOf[gi.plan.regions[r].tape[0].dense]);
         }
 
         // One-shot initial values targeting absorbed merges must land
@@ -320,14 +343,16 @@ DataflowSimulator::buildIndex(const Graph* g)
             for (size_t t = 0; t < R.tape.size(); t++)
                 tapeOf[R.tape[t].dense] = static_cast<int32_t>(t);
             for (GraphIndex::MergeInit& mi : gi.mergeInits) {
-                if (gi.plan.regionOf[mi.node] < 0)
+                const int32_t m = mi.to.node;
+                if (gi.plan.regionOf[m] < 0)
                     continue;
-                const RegionOp& op = R.tape[tapeOf[mi.node]];
-                const int32_t enc = R.args[op.argOff + mi.input];
+                const RegionOp& op = R.tape[tapeOf[m]];
+                const int32_t enc =
+                    R.args[op.argOff + mi.to.slot - gi.hot[m].fifoBase];
                 CASH_ASSERT(regArgTag(enc) == RegArg::Stream,
                             "merge init on a constant operand");
-                mi.node = static_cast<int>(nodes.size());
-                mi.input = regArgIndex(enc);
+                mi.to = {static_cast<int32_t>(nodes.size()),
+                         regArgIndex(enc)};
             }
         }
     }
@@ -352,9 +377,9 @@ DataflowSimulator::buildIndex(const Graph* g)
             if (gi.inDesc[gi.hot[i].fifoBase + k].isConst)
                 continue;
             const PortRef& in = n->input(k);
-            auto pit = dense.find(in.node);
-            CASH_ASSERT(pit != dense.end(), "input from foreign node");
-            counts[gi.hot[pit->second].portBase + in.port]++;
+            const int32_t prod = denseOf(in.node);
+            CASH_ASSERT(prod >= 0, "input from foreign node");
+            counts[gi.hot[prod].portBase + in.port]++;
         }
     }
     for (size_t r = 0; r < gi.plan.regions.size(); r++)
@@ -379,8 +404,7 @@ DataflowSimulator::buildIndex(const Graph* g)
             if (gi.inDesc[gi.hot[i].fifoBase + k].isConst)
                 continue;
             const PortRef& in = n->input(k);
-            int prod = dense.find(in.node)->second;
-            int port = gi.hot[prod].portBase + in.port;
+            int port = gi.hot[denseOf(in.node)].portBase + in.port;
             gi.cons[fill[port]++] = {static_cast<int32_t>(i),
                                      gi.hot[i].fifoBase + k};
         }
@@ -392,8 +416,7 @@ DataflowSimulator::buildIndex(const Graph* g)
             int port = gi.hot[R.inputs[k].node].portBase +
                        R.inputs[k].port;
             gi.cons[fill[port]++] = {static_cast<int32_t>(pseudo),
-                                     gi.hot[pseudo].fifoBase +
-                                         static_cast<int32_t>(k)};
+                                     static_cast<int32_t>(k)};
         }
     }
     // Fabric: per-consumer hop cost and credit channel, parallel to
@@ -422,9 +445,12 @@ DataflowSimulator::buildIndex(const Graph* g)
 
     // Distinguished nodes, resolved once so activation start never
     // touches a map.
-    for (const Node* p : g->paramNodes)
-        gi.paramDense.push_back(dense.at(p));
-    gi.initialTokenDense = dense.at(g->initialToken);
+    for (const Node* p : g->paramNodes) {
+        gi.paramDense.push_back(denseOf(p));
+        CASH_ASSERT(gi.paramDense.back() >= 0, "parameter is not live");
+    }
+    gi.initialTokenDense = denseOf(g->initialToken);
+    CASH_ASSERT(gi.initialTokenDense >= 0, "initial token is not live");
     graphs_[g->name] = std::move(gi);
 }
 
@@ -517,8 +543,8 @@ DataflowSimulator::startActivation(const GraphIndex& gi,
         for (RegRing& r : a->regRing)
             r.clear();  // keeps ring capacity across recycling
         a->regConsumed.assign(static_cast<size_t>(R.totalArgs), 0);
-        a->regMergeMode.assign(static_cast<size_t>(R.numMerges), 0);
-        a->regMergeTime.assign(static_cast<size_t>(R.numMerges), 0);
+        a->regMerge.assign(static_cast<size_t>(R.numMerges),
+                           Activation::RegMerge{});
     }
     a->regDirty = 0;
     actSpawned_++;
@@ -547,8 +573,7 @@ DataflowSimulator::startActivation(const GraphIndex& gi,
 
     // One-shot initial values for merge inputs wired to constants.
     for (const GraphIndex::MergeInit& mi : gi.mergeInits)
-        deliver(a, mi.node, gi.hot[mi.node].fifoBase + mi.input,
-                Item{mi.value, false}, when);
+        deliver(a, mi.to, Item{mi.value, false}, when);
     return a;
 }
 
@@ -566,25 +591,29 @@ DataflowSimulator::releaseActivations()
     activations_.clear();
 }
 
-// The three hottest paths in the system — one deliver per event, one
-// readiness check per delivery — are force-inlined into their (sole,
-// same-TU) callers; the compiler's size heuristics otherwise leave
+// The hottest paths in the system — one enqueue per event, one
+// readiness check per delivery — are force-inlined into their
+// same-TU callers; the compiler's size heuristics otherwise leave
 // them out of line.
 inline __attribute__((always_inline)) void
-DataflowSimulator::deliver(Activation* a, int node, int slot,
-                           Item item, uint64_t when)
+DataflowSimulator::deliver(Activation* a, Consumer to, Item item,
+                           uint64_t when)
 {
     // Macro engine: deliveries into a super-operator bypass the event
     // queue entirely — the cascade is a confluent max-plus replay, so
     // absorbing the item immediately (even with a future timestamp)
     // computes the same values and completion times the queue walk
     // would, without a calendar round-trip per boundary input.
-    if (haveRegions_ &&
-        a->gi->hot[node].kind == kRegionKind) {
-        item.time = when;
-        fireRegion(a, slot - a->gi->hot[node].fifoBase, item);
-        return;
-    }
+    if (to.node >= a->gi->numRealNodes)
+        fireRegion(a, to.slot, item, when);
+    else
+        enqueue(a, to.node, to.slot, item, when);
+}
+
+inline __attribute__((always_inline)) void
+DataflowSimulator::enqueue(Activation* a, int node, int slot, Item item,
+                           uint64_t when)
+{
     Event e;
     e.seq = seq_++;
     e.act = a;
@@ -722,7 +751,7 @@ DataflowSimulator::advanceTime()
         if (bandLo > now_ + 1)
             now_ = bandLo - 1;
         const uint64_t bs = bandIdx & (kWheelSize - 1);
-        std::vector<TimedEvent>& band = coarse_[bj][bs];
+        RecordBuf<TimedEvent>& band = coarse_[bj][bs];
         const bool dirty = coarseDirty_[bj][bs] != 0;
         coarseDirty_[bj][bs] = 0;
         coarseBits_[bj][bs >> 6] &= ~(1ull << (bs & 63));
@@ -757,7 +786,7 @@ DataflowSimulator::advanceTime()
     // timestamp: insertions only cover (now_, now_ + kWheelSize], a
     // window that holds each residue class exactly once.
     const uint64_t ds = now_ & (kWheelSize - 1);
-    std::vector<Event>& slot = wheel_[ds];
+    RecordBuf<Event>& slot = wheel_[ds];
     wheelBits_[ds >> 6] &= ~(1ull << (ds & 63));
     size_t fromWheel = slot.size();
     wheelCount_ -= fromWheel;
@@ -779,7 +808,7 @@ DataflowSimulator::advanceTime()
                   });
     // The caller drained ready_, so adopt the slot's buffer wholesale;
     // the slot inherits the empty one for future inserts.
-    std::swap(ready_, slot);
+    ready_.swap(slot);
     return true;
 }
 
@@ -796,7 +825,7 @@ DataflowSimulator::output(Activation* a, int node, int port,
     const Item item{value, eos};
     if (!fabricActive_ || gi->consHop.empty()) {
         for (int c = gi->consOff[p]; c < gi->consOff[p + 1]; c++)
-            deliver(a, gi->cons[c].node, gi->cons[c].slot, item, when);
+            deliver(a, gi->cons[c], item, when);
         return;
     }
     // Tiled fabric: charge per-hop latency on every cross-tile edge,
@@ -831,7 +860,7 @@ DataflowSimulator::output(Activation* a, int node, int port,
             }
             fabricHopCycles_ += arrive - when;
         }
-        deliver(a, gi->cons[c].node, gi->cons[c].slot, item, arrive);
+        deliver(a, gi->cons[c], item, arrive);
     }
 }
 
@@ -1003,7 +1032,7 @@ DataflowSimulator::fire(Activation* a, int node, uint64_t now)
     // the readiness counter maintained).
     const InputDesc* dsc = gi->inDesc.data() + h.fifoBase;
     ItemFifo* fifo = a->fifo.data() + h.fifoBase;
-    auto takeIn = [&](int i) -> uint32_t {
+    auto takeIn = [&](int i) __attribute__((always_inline)) -> uint32_t {
         const InputDesc& d = dsc[i];
         if (d.isConst)
             return d.constValue;
@@ -1208,15 +1237,17 @@ DataflowSimulator::gcRegRing(Activation* a, const CompiledRegion& R,
 }
 
 void
-DataflowSimulator::fireRegion(Activation* a, int slot, const Item& it)
+DataflowSimulator::fireRegion(Activation* a, int slot, Item it,
+                              uint64_t when)
 {
     // Absorb the delivery: one collapsed push stands for the original
     // interior fan-out of this producer port (the collapsed delivery
     // itself never entered the queue, so the full edge count is
     // credited back to the equivalent-event total).
     const CompiledRegion& R0 = a->gi->plan.regions[0];
-    a->regRing[slot].push(it.value, it.time, it.eos);
-    if (a->regRing[slot].size() > 64)
+    RegRing& r = a->regRing[slot];
+    r.push(it.value, when, it.eos);
+    if (r.size() > 64)
         gcRegRing(a, R0, slot);
     eqExtraEvents_ += static_cast<uint64_t>(R0.inputEdges[slot]);
     regionsFired_++;
@@ -1254,15 +1285,13 @@ DataflowSimulator::flushRegions()
 void
 DataflowSimulator::seedRegion(Activation* a, int slot)
 {
+    // Seeding happens between cascades, when nothing is pending in
+    // the next wave: setting the current-wave bit is the whole rule.
     const CompiledRegion& R = a->gi->plan.regions[0];
-    if (regInWork_.size() < R.tape.size())
-        regInWork_.resize(R.tape.size(), 0);
+    uint64_t* wave = regWaveBits_.data();
     for (int32_t s = R.seedOff[slot]; s < R.seedOff[slot + 1]; s++) {
-        const int32_t t = R.seedOp[s];
-        if (!regInWork_[t]) {
-            regInWork_[t] = 1;
-            regNext_.push_back(R.scanPos[t]);
-        }
+        const int32_t p = R.seedPos[s];
+        wave[p >> 6] |= 1ull << (p & 63);
     }
 }
 
@@ -1272,315 +1301,320 @@ DataflowSimulator::cascadeRegion(Activation* a)
     const GraphIndex* gi = a->gi;
     const CompiledRegion& R = gi->plan.regions[0];
     const int32_t nIn = static_cast<int32_t>(R.inputs.size());
+    const size_t words = (R.visits.size() + 63) / 64;
+    const RegionVisit* const visits = R.visits.data();
+    const RegionConeOp* const coneOps = R.coneOps.data();
+    const RegionSrc* const coneArgs = R.coneArgs.data();
+    const RegionSrc* const allGates = R.gates.data();
+    const int32_t* const seedOff = R.seedOff.data();
+    const int32_t* const seedBack = R.seedBack.data();
+    const int32_t* const seedPos = R.seedPos.data();
+    RegRing* const rings = a->regRing.data();
+    uint64_t* const consumed = a->regConsumed.data();
+    uint64_t* const visitFires = regVisitFires_.data() + gi->visitBase;
+    uint64_t* wave = regWaveBits_.data();
+    uint64_t* next = regNextBits_.data();
+    bool haveNext = false;
+    bool aborted = false;
     uint64_t inlined = 0;
 
-    // Cascade: fire every pending op as often as its streams allow; a
-    // production flags the consumers of its ring.  Pending ops are
-    // visited in scan order — merges, then sinks topologically — so
-    // within one wave every producer fires before its consumers and a
-    // consumer is visited at most once; only back edges (through
-    // merges) start another wave.  Result times are the max over
-    // dynamic operand times plus the op latency: pure operators
-    // AND-fire, so arrival times compose max-plus along interior
-    // paths, exactly as the event engine would discover them one
-    // delivery at a time.  Constant operands impose no time
+    // Cascade: fire every pending visit as often as its streams allow;
+    // a production marks the consumers of its ring pending.  Visits
+    // run in ascending scan position — merges, then sinks
+    // topologically — so within one wave every producer fires before
+    // its consumers and a consumer is visited at most once; only back
+    // edges (through merges) start another wave.  Result times are
+    // the max over dynamic operand times plus the op latency: pure
+    // operators AND-fire, so arrival times compose max-plus along
+    // interior paths, exactly as the event engine would discover them
+    // one delivery at a time.  Constant operands impose no time
     // constraint.
-    while (!regNext_.empty() && runOutcome_ == SimOutcome::Ok) {
-        std::swap(regWave_, regNext_);
-        regNext_.clear();
-        std::sort(regWave_.begin(), regWave_.end());
-        for (size_t wi = 0; wi < regWave_.size(); wi++) {
-        const int32_t si = regWave_[wi];
-        const int32_t t = R.scanOrder[si];
-        regInWork_[t] = 0;
-        const RegionOp& op = R.tape[t];
-        const int32_t* args = R.args.data() + op.argOff;
-        uint64_t* cons = a->regConsumed.data() + op.argOff;
-        RegRing* out = op.outRing >= 0 ? &a->regRing[op.outRing]
-                                       : nullptr;
-        uint64_t nfire = 0;
-        bool produced = false;
+    while (!aborted) {
+        for (size_t w = 0; w < words;) {
+            // Re-read the word after every visit: a visit can mark
+            // later positions of the same word.
+            const uint64_t bits = wave[w];
+            if (!bits) {
+                w++;
+                continue;
+            }
+            wave[w] = bits & (bits - 1);
+            const int32_t si = static_cast<int32_t>(w * 64) +
+                               __builtin_ctzll(bits);
+            const RegionVisit& v = visits[si];
+            RegRing* out = v.outRing >= 0 ? &rings[v.outRing] : nullptr;
+            const RegionConeOp* cone = coneOps + v.coneOff;
+            const RegionSrc* gates = allGates + v.gateOff;
+            const int32_t nGates = v.gateEnd - v.gateOff;
+            uint64_t nfire = 0;
+            bool produced = false;
 
-        if (op.mSlot >= 0) {
-            // Absorbed mu-merge: replay the mode machine stream-
-            // synchronously.  Each firing happens at the maximum of
-            // the consumed items' times and the previous firing's
-            // time — the dispatch cycle at which the event engine
-            // would perform it (see region_compiler.h).  Interior
-            // reads are deliveries the event engine would have
-            // dispatched, counted as they are consumed because the
-            // subset consumed per firing depends on the mode.
-            const int8_t* roles = R.argRole.data() + op.argOff;
-            const int32_t fwdK = op.fwdK;
-            const int32_t deciderK = op.deciderK;
-            uint8_t& mode = a->regMergeMode[op.mSlot];
-            uint64_t& tMode = a->regMergeTime[op.mSlot];
-            auto avail = [&](int32_t k) {
-                return a->regRing[regArgIndex(args[k])].tail >
-                       cons[k];
-            };
-            uint32_t tv = 0;
-            bool teos = false;
-            uint64_t tt = 0;
-            auto take = [&](int32_t k) {
-                const int32_t ring = regArgIndex(args[k]);
-                const RegRing& r = a->regRing[ring];
-                const RegItem& it = r.buf[cons[k]++ & r.mask];
-                if (ring >= nIn)
-                    eqExtraEvents_++;
-                tv = it.val;
-                teos = it.eos != 0;
-                tt = it.tim;
-            };
-            auto emit = [&](uint32_t v, uint64_t when) {
-                if (out) {
-                    out->push(v, when, false);
-                    produced = true;
-                }
-                if (op.hasExternal)
-                    output(a, op.dense, 0, v, when, false);
-                mode = deciderK >= 0 ? 1 : 0;
-            };
-            for (;;) {
-                if (mode == 0) {  // forward
-                    if (!avail(fwdK))
-                        break;
-                    take(fwdK);
-                    tMode = std::max(tt, tMode);
-                    nfire++;
-                    if (!teos)
-                        emit(tv, tMode);
-                    // EOS from a not-taken edge: discard, stay put.
-                } else if (mode == 1) {  // consult decider
-                    uint32_t d;
-                    if (regArgTag(args[deciderK]) == RegArg::Const) {
-                        d = R.constPool[regArgIndex(args[deciderK])];
-                    } else {
-                        if (!avail(deciderK))
-                            break;
-                        take(deciderK);
-                        CASH_ASSERT(
-                            !teos,
-                            "EOS item reached a non-merge consumer");
-                        tMode = std::max(tt, tMode);
-                        d = tv;
+            if (v.mSlot >= 0) {
+                // Absorbed mu-merge: replay the mode machine stream-
+                // synchronously.  Each firing happens at the maximum
+                // of the consumed items' times and the previous
+                // firing's time — the dispatch cycle at which the
+                // event engine would perform it (see
+                // region_compiler.h).  Interior reads are deliveries
+                // the event engine would have dispatched, counted as
+                // they are consumed because the subset consumed per
+                // firing depends on the mode.  The gate range holds
+                // the forward operand, the decider, then the back-edge
+                // operands.
+                uint8_t& mode = a->regMerge[v.mSlot].mode;
+                uint64_t& tMode = a->regMerge[v.mSlot].time;
+                const RegionSrc& fwd = gates[0];
+                const RegionSrc& decider = gates[1];
+                const RegionSrc* backs = gates + 2;
+                const int32_t nBacks = nGates - 2;
+                const uint8_t afterEmit =
+                    decider.ring != kRegSrcNone ? 1 : 0;
+                auto avail = [&](const RegionSrc& src) {
+                    return rings[src.ring].tail > consumed[src.x];
+                };
+                uint32_t tv = 0;
+                bool teos = false;
+                uint64_t tt = 0;
+                auto take = [&](const RegionSrc& src) {
+                    const RegRing& r = rings[src.ring];
+                    const RegItem& it = r.buf[consumed[src.x]++ & r.mask];
+                    if (src.ring >= nIn)
+                        eqExtraEvents_++;
+                    tv = it.val;
+                    teos = it.eos != 0;
+                    tt = it.tim;
+                };
+                auto emit = [&](uint32_t val, uint64_t when) {
+                    if (out) {
+                        out->push(val, when, false);
+                        produced = true;
                     }
-                    nfire++;
-                    mode = d ? 2 : 0;
-                } else {  // back round (strict: one item per input)
-                    int32_t backs = 0;
-                    bool all = true;
-                    for (int32_t k = 0; k < op.argCnt; k++)
-                        if (roles[k] == kRegRoleBack) {
-                            backs++;
-                            if (!avail(k)) {
+                    if (cone->hasExternal)
+                        output(a, cone->dense, 0, val, when, false);
+                    mode = afterEmit;
+                };
+                for (;;) {
+                    if (mode == 0) {  // forward
+                        if (!avail(fwd))
+                            break;
+                        take(fwd);
+                        tMode = std::max(tt, tMode);
+                        nfire++;
+                        if (!teos)
+                            emit(tv, tMode);
+                        // EOS from a not-taken edge: discard, stay put.
+                    } else if (mode == 1) {  // consult decider
+                        uint32_t d;
+                        if (decider.ring == kRegSrcConst) {
+                            d = decider.x;
+                        } else {
+                            if (!avail(decider))
+                                break;
+                            take(decider);
+                            CASH_ASSERT(
+                                !teos,
+                                "EOS item reached a non-merge consumer");
+                            tMode = std::max(tt, tMode);
+                            d = tv;
+                        }
+                        nfire++;
+                        mode = d ? 2 : 0;
+                    } else {  // back round (strict: one item per input)
+                        if (nBacks == 0)
+                            break;
+                        bool all = true;
+                        for (int32_t g = 0; g < nBacks; g++)
+                            if (!avail(backs[g])) {
                                 all = false;
                                 break;
                             }
+                        if (!all)
+                            break;
+                        bool gotValue = false;
+                        uint32_t value = 0;
+                        uint64_t tF = tMode;
+                        for (int32_t g = 0; g < nBacks; g++) {
+                            take(backs[g]);
+                            tF = std::max(tt, tF);
+                            if (!teos) {
+                                CASH_ASSERT(!gotValue,
+                                            "two back-edge values in "
+                                            "one iteration");
+                                gotValue = true;
+                                value = tv;
+                            }
                         }
-                    if (backs == 0 || !all)
-                        break;
-                    bool gotValue = false;
-                    uint32_t value = 0;
-                    uint64_t tF = tMode;
-                    for (int32_t k = 0; k < op.argCnt; k++) {
-                        if (roles[k] != kRegRoleBack)
-                            continue;
-                        take(k);
-                        tF = std::max(tt, tF);
-                        if (!teos) {
-                            CASH_ASSERT(
-                                !gotValue,
-                                "two back-edge values in one "
-                                "iteration");
-                            gotValue = true;
-                            value = tv;
-                        }
+                        tMode = tF;
+                        nfire++;
+                        // An all-EOS round is the drained tail of the
+                        // previous loop execution: consume, stay back.
+                        if (gotValue)
+                            emit(value, tF);
                     }
-                    tMode = tF;
-                    nfire++;
-                    // An all-EOS round is the drained tail of the
-                    // previous loop execution: consume, stay back.
-                    if (gotValue)
-                        emit(value, tF);
                 }
-            }
-            firings_ += nfire;
-            fireCounts_[static_cast<size_t>(NodeKind::Merge)] +=
-                nfire;
-            inlined += nfire;
-        } else {
-            // Cone visit: the sink and its fused chain members fire
-            // as a unit (see region_compiler.h).  Firings available
-            // now: min over the cone's stream operands — interior
-            // register edges supply exactly one value per firing by
-            // construction.
-            const int32_t cOff = R.coneOff[t];
-            const int32_t cEnd = R.coneOff[t + 1];
-            uint64_t navail = UINT64_MAX;
-            for (int32_t g = R.gateOff[t]; g < R.gateOff[t + 1];
-                 g++) {
-                const uint64_t got =
-                    a->regRing[R.gateRing[g]].tail -
-                    a->regConsumed[R.gateArg[g]];
-                if (got < navail) {
-                    navail = got;
-                    if (navail == 0)
-                        break;  // an empty stream settles it
+                if (nfire == 0)
+                    continue;
+                visitFires[si] += nfire;
+                inlined += nfire;
+            } else {
+                // Cone visit: the sink and its fused chain members fire
+                // as a unit (see region_compiler.h).  Firings available
+                // now: min over the cone's stream operands — interior
+                // register edges supply exactly one value per firing
+                // by construction.
+                uint64_t navail = UINT64_MAX;
+                for (int32_t g = 0; g < nGates; g++) {
+                    const uint64_t got =
+                        rings[gates[g].ring].tail - consumed[gates[g].x];
+                    if (got < navail) {
+                        navail = got;
+                        if (navail == 0)
+                            break;  // an empty stream settles it
+                    }
                 }
-            }
-            if (navail == 0 || navail == UINT64_MAX)
-                continue;
-            nfire = navail;
+                if (navail == 0 || navail == UINT64_MAX)
+                    continue;
+                nfire = navail;
+                const int32_t nOps = v.coneCnt;
 
-            for (uint64_t f = 0; f < nfire; f++) {
-                for (int32_t ci = cOff; ci < cEnd; ci++) {
-                    const RegionOp& m = R.tape[R.coneOp[ci]];
-                    const int32_t* margs = R.args.data() + m.argOff;
-                    uint64_t* mcons =
-                        a->regConsumed.data() + m.argOff;
-                    uint64_t when = 0;
-                    auto read = [&](int32_t k) -> uint32_t {
-                        const int32_t enc = margs[k];
-                        const RegArg tag = regArgTag(enc);
-                        if (tag == RegArg::Const)
-                            return R.constPool[regArgIndex(enc)];
-                        if (tag == RegArg::Reg) {
-                            const int32_t s = regArgIndex(enc);
-                            if (regTim_[s] > when)
-                                when = regTim_[s];
-                            return regVal_[s];
+                for (uint64_t f = 0; f < nfire; f++) {
+                    for (int32_t ci = 0; ci < nOps; ci++) {
+                        const RegionConeOp& m = cone[ci];
+                        const RegionSrc* margs = coneArgs + m.argOff;
+                        uint64_t when = 0;
+                        auto read = [&](int32_t k)
+                            __attribute__((always_inline)) -> uint32_t {
+                            const RegionSrc& src = margs[k];
+                            if (src.ring >= 0) {
+                                const RegRing& r = rings[src.ring];
+                                const RegItem& item =
+                                    r.buf[consumed[src.x]++ & r.mask];
+                                CASH_ASSERT(!item.eos,
+                                            "EOS item reached a "
+                                            "non-merge consumer");
+                                if (item.tim > when)
+                                    when = item.tim;
+                                return item.val;
+                            }
+                            if (src.ring == kRegSrcConst)
+                                return src.x;
+                            if (regTim_[src.x] > when)
+                                when = regTim_[src.x];
+                            return regVal_[src.x];
+                        };
+                        uint32_t val = 0;
+                        bool eos = false;
+                        switch (m.kind) {
+                          case NodeKind::Arith:
+                            val = m.unary
+                                      ? evalUnary(m.op, read(0))
+                                      : evalBinary(m.op, read(0),
+                                                   read(1));
+                            break;
+                          case NodeKind::Mux: {
+                            uint32_t mv[kMaxRegionMuxArgs];
+                            for (int32_t k = 0; k < m.argCnt; k++)
+                                mv[k] = read(k);
+                            val = evalMuxPairs(
+                                mv, static_cast<int>(m.argCnt));
+                            break;
+                          }
+                          case NodeKind::Combine:
+                            for (int32_t k = 0; k < m.argCnt; k++)
+                                read(k);
+                            break;
+                          case NodeKind::Eta: {
+                            const uint32_t x = read(0);
+                            const uint32_t p = read(1);
+                            if (p)
+                                val = x;
+                            else
+                                eos = true;
+                            break;
+                          }
+                          default:
+                            panic("non-pure op on region tape");
                         }
-                        const RegRing& r =
-                            a->regRing[regArgIndex(enc)];
-                        const RegItem& item =
-                            r.buf[mcons[k]++ & r.mask];
-                        CASH_ASSERT(
-                            !item.eos,
-                            "EOS item reached a non-merge consumer");
-                        if (item.tim > when)
-                            when = item.tim;
-                        return item.val;
-                    };
-                    uint32_t v = 0;
-                    bool eos = false;
-                    switch (m.kind) {
-                      case NodeKind::Arith:
-                        v = m.unary
-                                ? evalUnary(m.op, read(0))
-                                : evalBinary(m.op, read(0),
-                                             read(1));
-                        break;
-                      case NodeKind::Mux: {
-                        uint32_t mv[kMaxRegionMuxArgs];
-                        for (int32_t k = 0; k < m.argCnt; k++)
-                            mv[k] = read(k);
-                        v = evalMuxPairs(
-                            mv, static_cast<int>(m.argCnt));
-                        break;
-                      }
-                      case NodeKind::Combine:
-                        for (int32_t k = 0; k < m.argCnt; k++)
-                            read(k);
-                        break;
-                      case NodeKind::Eta: {
-                        const uint32_t val = read(0);
-                        const uint32_t p = read(1);
-                        if (p)
-                            v = val;
-                        else
-                            eos = true;
-                        break;
-                      }
-                      default:
-                        panic("non-pure op on region tape");
-                    }
-                    when += m.latency;
-                    if (ci < cEnd - 1) {
-                        // Fused member: the result rides a register
-                        // slot (members never push or emit — they
-                        // have no observers outside the cone).
-                        regVal_[ci - cOff] = v;
-                        regTim_[ci - cOff] = when;
-                    } else {
-                        if (out)
-                            out->push(v, when, eos);
-                        if (m.hasExternal)
-                            output(a, m.dense, 0, v, when, eos);
+                        when += m.latency;
+                        if (ci < nOps - 1) {
+                            // Fused member: the result rides a register
+                            // slot (members never push or emit — they
+                            // have no observers outside the cone).
+                            regVal_[ci] = val;
+                            regTim_[ci] = when;
+                        } else {
+                            if (out)
+                                out->push(val, when, eos);
+                            if (m.hasExternal)
+                                output(a, m.dense, 0, val, when, eos);
+                        }
                     }
                 }
+                produced = out != nullptr;
+                visitFires[si] += nfire;
+                inlined += nfire * static_cast<uint64_t>(nOps);
+                eqExtraEvents_ +=
+                    nfire * static_cast<uint64_t>(v.coneEq);
             }
-            produced = out != nullptr;
-            const uint64_t coneOps =
-                static_cast<uint64_t>(cEnd - cOff);
-            firings_ += nfire * coneOps;
-            for (int32_t ci = cOff; ci < cEnd; ci++)
-                fireCounts_[static_cast<size_t>(
-                    R.tape[R.coneOp[ci]].kind)] += nfire;
-            inlined += nfire * coneOps;
-            eqExtraEvents_ +=
-                nfire * static_cast<uint64_t>(op.coneEq);
-        }
-        if (nfire == 0)
-            continue;
 
-        if (produced) {
-            for (int32_t s = R.seedOff[op.outRing];
-                 s < R.seedOff[op.outRing + 1]; s++) {
-                const int32_t c = R.seedOp[s];
-                if (!regInWork_[c]) {
-                    regInWork_[c] = 1;
-                    const int32_t p = R.scanPos[c];
-                    if (p > si) {
-                        // Forward edge: fires later this wave, at its
-                        // sorted place so its own consumers still see
-                        // it before them.
-                        regWave_.insert(
-                            std::lower_bound(
-                                regWave_.begin() +
-                                    static_cast<ptrdiff_t>(wi) + 1,
-                                regWave_.end(), p),
-                            p);
-                    } else {
-                        // Back edge (through a merge): next wave.
-                        regNext_.push_back(p);
-                    }
+            if (produced) {
+                // Mark each consumer not already pending in either
+                // wave.  A forward edge (later scan position) joins
+                // this wave, where the ascending scan still reaches
+                // it; a back edge (through a merge) the next one.
+                const int32_t r = v.outRing;
+                int32_t s = seedOff[r];
+                for (; s < seedBack[r]; s++) {
+                    const int32_t p = seedPos[s];
+                    const size_t pw = static_cast<size_t>(p) >> 6;
+                    wave[pw] |= (1ull << (p & 63)) & ~next[pw];
                 }
+                for (; s < seedOff[r + 1]; s++) {
+                    const int32_t p = seedPos[s];
+                    const size_t pw = static_cast<size_t>(p) >> 6;
+                    const uint64_t add = (1ull << (p & 63)) & ~wave[pw];
+                    next[pw] |= add;
+                    haveNext |= add != 0;
+                }
+                // Bound growth of the one ring this visit pushed into;
+                // a replayed loop can stream thousands of items
+                // through it within a single cascade.
+                if (out->size() > 64)
+                    gcRegRing(a, R, v.outRing);
             }
-            // Bound growth of the one ring this visit pushed into; a
-            // replayed loop can stream thousands of items through it
-            // within a single cascade.
-            if (out->size() > 64)
-                gcRegRing(a, R, op.outRing);
+            // A cycle through a merge is a loop the cascade replays in
+            // full, so a livelocked program would otherwise spin here
+            // forever: re-check the event budget the run loop
+            // enforces, using equivalent events so the threshold
+            // matches the event engine's workload measure.
+            if (events_ + eqExtraEvents_ > maxEvents_) {
+                failRun(SimOutcome::EventLimit,
+                        "simulation event limit exceeded after " +
+                            std::to_string(maxEvents_) +
+                            " equivalent events in '" + gi->g->name +
+                            "' (livelock?)");
+                aborted = true;
+                break;
+            }
+            if ((++cascadeVisits_ & 0xFFF) == 0 && wallExpired()) {
+                failRun(SimOutcome::Timeout,
+                        "simulation wall-clock budget of " +
+                            std::to_string(wallBudgetMs_) +
+                            " ms exceeded in '" + gi->g->name + "'");
+                aborted = true;
+                break;
+            }
         }
-        // A cycle through a merge is a loop the cascade replays in
-        // full, so a livelocked program would otherwise spin here
-        // forever: re-check the event budget the run loop enforces,
-        // using equivalent events so the threshold matches the event
-        // engine's workload measure.
-        if (events_ + eqExtraEvents_ > maxEvents_) {
-            failRun(SimOutcome::EventLimit,
-                    "simulation event limit exceeded after " +
-                        std::to_string(maxEvents_) +
-                        " equivalent events in '" + gi->g->name +
-                        "' (livelock?)");
+        if (!haveNext)
             break;
-        }
-        if ((++cascadeVisits_ & 0xFFF) == 0 && wallExpired()) {
-            failRun(SimOutcome::Timeout,
-                    "simulation wall-clock budget of " +
-                        std::to_string(wallBudgetMs_) +
-                        " ms exceeded in '" + gi->g->name + "'");
-            break;
-        }
-        }
+        std::swap(wave, next);
+        haveNext = false;
     }
-    if (runOutcome_ != SimOutcome::Ok) {  // aborted mid-wave: pending
-                                          // flags and lists are stale
-        std::fill(regInWork_.begin(), regInWork_.end(), 0);
-        regWave_.clear();
-        regNext_.clear();
+    if (aborted) {  // stopped mid-wave: pending bits are stale
+        std::fill(regWaveBits_.begin(), regWaveBits_.end(), 0);
+        std::fill(regNextBits_.begin(), regNextBits_.end(), 0);
     }
+    firings_ += inlined;
     regionOpsInlined_ += inlined;
     if (tracer_ && tracer_->enabled() && inlined)
         tracer_->completeEvent(
@@ -1588,6 +1622,24 @@ DataflowSimulator::cascadeRegion(Activation* a)
             {{"region", static_cast<int64_t>(0)},
              {"ops", static_cast<int64_t>(inlined)}},
             kTraceCyclePid);
+}
+
+void
+DataflowSimulator::foldRegionFires()
+{
+    for (const auto& entry : graphs_) {
+        const GraphIndex& gi = entry.second;
+        if (gi.plan.regions.empty())
+            continue;
+        const CompiledRegion& R = gi.plan.regions[0];
+        for (size_t si = 0; si < R.visits.size(); si++) {
+            const uint64_t n = regVisitFires_[gi.visitBase + si];
+            const RegionVisit& v = R.visits[si];
+            for (int32_t ci = 0; ci < v.coneCnt; ci++)
+                fireCounts_[static_cast<size_t>(
+                    R.coneOps[v.coneOff + ci].kind)] += n;
+        }
+    }
 }
 
 bool
@@ -1751,13 +1803,13 @@ DataflowSimulator::run(const std::string& name,
     // Fresh dynamic state (memory and caches persist across runs).
     ready_.clear();
     readyHead_ = 0;
-    for (std::vector<Event>& slot : wheel_)
+    for (RecordBuf<Event>& slot : wheel_)
         slot.clear();
     wheelBits_.fill(0);
     wheelCount_ = 0;
     wheelDirty_.fill(0);
     for (int j = 0; j < kCoarseLevels; j++) {
-        for (std::vector<TimedEvent>& band : coarse_[j])
+        for (RecordBuf<TimedEvent>& band : coarse_[j])
             band.clear();
         coarseBits_[j].fill(0);
         coarseDirty_[j].fill(0);
@@ -1783,9 +1835,9 @@ DataflowSimulator::run(const std::string& name,
     regionOpsInlined_ = 0;
     eqExtraEvents_ = 0;
     regPending_.clear();
-    regWave_.clear();
-    regNext_.clear();
-    std::fill(regInWork_.begin(), regInWork_.end(), 0);
+    std::fill(regWaveBits_.begin(), regWaveBits_.end(), 0);
+    std::fill(regNextBits_.begin(), regNextBits_.end(), 0);
+    std::fill(regVisitFires_.begin(), regVisitFires_.end(), 0);
     fabricCrossDeliveries_ = fabricHopCycles_ = 0;
     fabricCreditStalls_ = fabricCreditStallCycles_ = 0;
     if (fabricActive_ && fabric_->model.linkCredits > 0) {
@@ -1947,6 +1999,7 @@ DataflowSimulator::run(const std::string& name,
                 static_cast<int64_t>(peakLiveActs_));
     r.stats.set("sim.act.allocated",
                 static_cast<int64_t>(activations_.size()));
+    foldRegionFires();
     for (size_t k = 0; k < fireCounts_.size(); k++)
         if (fireCounts_[k])
             r.stats.set(std::string("sim.fire.") +

@@ -35,10 +35,13 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <map>
 #include <memory>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fabric/placer.h"
@@ -264,7 +267,9 @@ class DataflowSimulator
         std::vector<InputDesc> inDesc;
         /** CSR consumer lists: consumers of output port @c p of node
          *  @c i are cons[consOff[hot[i].portBase+p] ..
-         *  consOff[hot[i].portBase+p+1]). */
+         *  consOff[hot[i].portBase+p+1]).  A consumer with
+         *  node >= numRealNodes is a region pseudo-node, and its slot
+         *  is the region input stream, not a fifo slot. */
         std::vector<int> consOff;
         std::vector<Consumer> cons;
         int numFifoSlots = 0;
@@ -274,29 +279,32 @@ class DataflowSimulator
         /** Dense indices of g->paramNodes / g->initialToken. */
         std::vector<int> paramDense;
         int initialTokenDense = -1;
-        /** One-shot initial values for merge inputs wired to consts. */
+        /** One-shot initial values for merge inputs wired to consts,
+         *  delivered to `to` (a fifo slot, or a region input stream
+         *  when the merge was absorbed). */
         struct MergeInit
         {
-            int node = -1;
-            int input = -1;
+            Consumer to;
             uint32_t value = 0;
         };
         std::vector<MergeInit> mergeInits;
         /**
          * Macro engine: compiled super-operator (region_compiler.h).
          * The region is materialized as a *pseudo-node* appended
-         * after the real nodes (dense id numRealNodes + r) whose fifo
-         * slots address the region's input streams, so the CSR
-         * consumer lists and the delivery queue are reused untouched;
-         * the run loop intercepts deliveries to the pseudo-node and
-         * feeds them straight into the streaming cascade (its fifos
-         * stay empty).  Interior nodes keep their hot[] entries but
+         * after the real nodes (dense id numRealNodes + r) with no
+         * fifo slots: CSR consumer records that name it carry the
+         * region input stream in their slot, and output() feeds such
+         * deliveries straight into the streaming cascade instead of
+         * the queue.  Interior nodes keep their hot[] entries but
          * never receive deliveries: their incoming edges are rerouted
          * to the pseudo-node (or dropped, for interior edges) when
          * the CSR consumer lists are built.
          */
         RegionPlan plan;
         int numRealNodes = 0;
+        /** First per-visit firing counter of this graph's region in
+         *  DataflowSimulator::regVisitFires_. */
+        int32_t visitBase = 0;
         /**
          * Tiled fabric (docs/FABRIC.md): tile per dense node
          * (region pseudo-nodes inherit their tape's tile), plus
@@ -321,20 +329,17 @@ class DataflowSimulator
      */
     struct Item
     {
-        uint32_t value = 0;
-        bool eos = false;
-        /** Arrival cycle, stamped when the delivery is consumed.  Only
-         *  region pseudo-nodes read it: the macro engine's analytic
-         *  timing needs each input's k-th arrival time, which the
-         *  event engine keeps implicit in queue position. */
-        uint64_t time = 0;
+        uint32_t value;
+        bool eos;
     };
 
     /**
-     * A per-port FIFO with two inline slots and a power-of-two ring
-     * spill buffer.  Most ports hold at most one in-flight item, so the
-     * common case never allocates; clear() keeps spill capacity for
-     * activation recycling.
+     * A 32-byte per-port FIFO with two inline 8-byte slots and a
+     * power-of-two ring spill buffer.  Most ports hold at most one in-flight item,
+     * so the common case never allocates; clear() keeps spill capacity
+     * for activation recycling.  Items carry no time: a queued item's
+     * time is its dispatch cycle, and region deliveries, which need
+     * theirs, bypass the fifos (fireRegion).
      */
     class ItemFifo
     {
@@ -356,14 +361,14 @@ class DataflowSimulator
 
         bool empty() const { return size_ == 0; }
         uint32_t size() const { return size_; }
-        const Item& front() const { return buf_[head_]; }
+        const Item& front() const { return data()[head_]; }
 
         void
         push_back(Item it)
         {
             if (size_ == cap_)
                 grow();
-            buf_[(head_ + size_) & (cap_ - 1)] = it;
+            data()[(head_ + size_) & (cap_ - 1)] = it;
             size_++;
         }
 
@@ -383,58 +388,112 @@ class DataflowSimulator
         }
 
       private:
+        Item* data() { return cap_ == kInline ? inline_ : spill_; }
+        const Item*
+        data() const
+        {
+            return cap_ == kInline ? inline_ : spill_;
+        }
         void
         grow()
         {
             uint32_t ncap = cap_ * 2;
             Item* nbuf = new Item[ncap];
             for (uint32_t i = 0; i < size_; i++)
-                nbuf[i] = buf_[(head_ + i) & (cap_ - 1)];
+                nbuf[i] = data()[(head_ + i) & (cap_ - 1)];
             release();
-            buf_ = nbuf;
+            spill_ = nbuf;
             cap_ = ncap;
             head_ = 0;
         }
         void
         release()
         {
-            if (buf_ != inline_)
-                delete[] buf_;
+            if (cap_ != kInline)
+                delete[] spill_;
         }
         void
         moveFrom(ItemFifo& o)
         {
-            if (o.buf_ == o.inline_) {
+            if (o.cap_ == kInline) {
                 inline_[0] = o.inline_[0];
                 inline_[1] = o.inline_[1];
-                buf_ = inline_;
             } else {
-                buf_ = o.buf_;
+                spill_ = o.spill_;
             }
             cap_ = o.cap_;
             head_ = o.head_;
             size_ = o.size_;
-            o.buf_ = o.inline_;
             o.cap_ = kInline;
             o.head_ = o.size_ = 0;
         }
 
         static constexpr uint32_t kInline = 2;  // power of two
-        Item inline_[kInline];
-        Item* buf_ = inline_;
+        /** The inline items until the first spill, then the spill
+         *  buffer (cap_ tells which), keeping the fifo at 32 bytes. */
+        union
+        {
+            Item inline_[kInline];
+            Item* spill_;
+        };
         uint32_t cap_ = kInline;
         uint32_t head_ = 0;
         uint32_t size_ = 0;
     };
+    static_assert(sizeof(ItemFifo) == 32, "two fifos per cache line");
 
     /**
-     * One operand stream of a compiled super-operator: a power-of-two
-     * ring of (value, completion time, EOS) triples addressed by
-     * *absolute* indices — `head`/`tail` only grow, so the k-th item
-     * ever pushed lives at `k & (capacity-1)` until reclaimed, and a
-     * consumption counter doubles as a stream position.  clear() keeps
-     * capacity for activation recycling.
+     * A growable array of trivially copyable records (queued events)
+     * whose append is a compare and a store, inlined at every call
+     * site; only growth leaves the hot path.  clear() keeps capacity.
      */
+    template <typename T>
+    class RecordBuf
+    {
+      public:
+        RecordBuf() = default;
+        RecordBuf(const RecordBuf&) = delete;
+        RecordBuf& operator=(const RecordBuf&) = delete;
+        ~RecordBuf() { std::free(data_); }
+
+        size_t size() const { return size_; }
+        bool empty() const { return size_ == 0; }
+        T* begin() { return data_; }
+        T* end() { return data_ + size_; }
+        const T& operator[](size_t i) const { return data_[i]; }
+        void clear() { size_ = 0; }
+        void
+        push_back(const T& x)
+        {
+            if (size_ == cap_)
+                grow();
+            data_[size_++] = x;
+        }
+        void
+        swap(RecordBuf& o) noexcept
+        {
+            std::swap(data_, o.data_);
+            std::swap(size_, o.size_);
+            std::swap(cap_, o.cap_);
+        }
+
+      private:
+        __attribute__((noinline)) void
+        grow()
+        {
+            const size_t ncap = cap_ ? cap_ * 2 : 8;
+            T* nd = static_cast<T*>(std::realloc(data_, ncap * sizeof(T)));
+            if (!nd)
+                throw std::bad_alloc();
+            data_ = nd;
+            cap_ = ncap;
+        }
+
+        T* data_ = nullptr;
+        size_t size_ = 0;
+        size_t cap_ = 0;
+    };
+
     /** One ring entry, interleaved so a read touches one cache line
      *  (eos widened to pad the record to 16 bytes). */
     struct RegItem
@@ -443,18 +502,42 @@ class DataflowSimulator
         uint32_t eos;
         uint64_t tim;
     };
+    /**
+     * One operand stream of a compiled super-operator: a power-of-two
+     * ring of (value, completion time, EOS) triples addressed by
+     * *absolute* indices — `head`/`tail` only grow, so the k-th item
+     * ever pushed lives at `k & (capacity-1)` until reclaimed, and a
+     * consumption counter doubles as a stream position.  32 bytes, so
+     * two rings share a cache line; clear() keeps capacity for
+     * activation recycling.
+     */
     struct RegRing
     {
-        std::vector<RegItem> buf;
+        RegRing() = default;
+        RegRing(const RegRing&) = delete;
+        RegRing& operator=(const RegRing&) = delete;
+        RegRing(RegRing&& o) noexcept { *this = std::move(o); }
+        RegRing&
+        operator=(RegRing&& o) noexcept
+        {
+            std::swap(buf, o.buf);
+            std::swap(head, o.head);
+            std::swap(tail, o.tail);
+            std::swap(mask, o.mask);
+            std::swap(cap, o.cap);
+            return *this;
+        }
+        ~RegRing() { delete[] buf; }
+
+        RegItem* buf = nullptr;
         uint64_t head = 0;
         uint64_t tail = 0;
-        /** Cached capacity - 1; kept in sync by grow() so the hot
-         *  paths never recompute it from the vector length. */
-        uint64_t mask = 0;
-        uint64_t cap = 0;
+        /** Capacity - 1, cached so reads never recompute it. */
+        uint32_t mask = 0;
+        uint32_t cap = 0;
 
         uint64_t size() const { return tail - head; }
-        void
+        __attribute__((always_inline)) void
         push(uint32_t v, uint64_t t, bool e)
         {
             if (tail - head == cap)
@@ -469,14 +552,15 @@ class DataflowSimulator
         }
 
       private:
-        void
+        __attribute__((noinline)) void
         grow()
         {
-            const size_t ncap = cap ? cap * 2 : 8;
-            std::vector<RegItem> nbuf(ncap);
+            const uint32_t ncap = cap ? cap * 2 : 8;
+            RegItem* nbuf = new RegItem[ncap];
             for (uint64_t k = head; k < tail; k++)
                 nbuf[k & (ncap - 1)] = buf[k & mask];
-            buf.swap(nbuf);
+            delete[] buf;
+            buf = nbuf;
             cap = ncap;
             mask = ncap - 1;
         }
@@ -511,12 +595,16 @@ class DataflowSimulator
          *  region. */
         std::vector<RegRing> regRing;
         std::vector<uint64_t> regConsumed;
-        /** Macro engine: absorbed-merge mode machine (MergeMode
-         *  values) and the time each merge last fired — mode
-         *  transitions gate later firings like an extra operand
-         *  (indexed by RegionOp::mSlot). */
-        std::vector<uint8_t> regMergeMode;
-        std::vector<uint64_t> regMergeTime;
+        /** Macro engine: per absorbed merge (RegionOp::mSlot), its
+         *  mode machine (MergeMode values) and the time it last fired
+         *  — mode transitions gate later firings like an extra
+         *  operand. */
+        struct RegMerge
+        {
+            uint64_t time = 0;
+            uint8_t mode = 0;
+        };
+        std::vector<RegMerge> regMerge;
         /** Deferred region deliveries in regPending_ targeting this
          *  activation (blocks recycling until flushed). */
         int32_t regDirty = 0;
@@ -534,9 +622,10 @@ class DataflowSimulator
         bool pooled = false;
     };
 
-    /** A queued delivery.  Time is implicit: ready_ events are at
-     *  now_, each wheel slot holds a single timestamp, and overflow
-     *  events carry theirs in TimedEvent. */
+    /** A queued delivery (32 bytes).  Time is implicit: ready_
+     *  events are at now_, each wheel slot holds a single timestamp,
+     *  and coarse-wheel and overflow events carry theirs in
+     *  TimedEvent. */
     struct Event
     {
         uint64_t seq = 0;
@@ -545,6 +634,9 @@ class DataflowSimulator
         int32_t slot = -1;  ///< Flat fifo slot of the target input.
         Item item;
     };
+    static_assert(sizeof(Event) == 32, "queued events are 32 bytes");
+    static_assert(std::is_trivially_copyable_v<Event>,
+                  "RecordBuf relocates events with realloc");
     struct TimedEvent
     {
         uint64_t time = 0;
@@ -557,15 +649,16 @@ class DataflowSimulator
 
     void buildIndex(const Graph* g);
     void linkCallees();
-    /** Macro engine: absorb one boundary delivery into super-operator
-     *  input stream @p slot.  Called synchronously from deliver() —
-     *  region deliveries never enter the event queue; the cascade
-     *  itself is deferred to flushRegions() at the next worklist
-     *  drain, so a cycle's deliveries batch into one pass and host
-     *  stack depth never tracks simulated recursion depth. */
-    void fireRegion(Activation* a, int slot, const Item& it);
-    /** Queue the cone sinks consuming input stream @p slot onto the
-     *  cascade worklist. */
+    /** Macro engine: absorb one boundary delivery, arriving at
+     *  @p when, into super-operator input stream @p slot.  Called
+     *  synchronously from deliver() — region deliveries never enter
+     *  the event queue; the cascade itself is deferred to
+     *  flushRegions() at the next worklist drain, so a cycle's
+     *  deliveries batch into one pass and host stack depth never
+     *  tracks simulated recursion depth. */
+    void fireRegion(Activation* a, int slot, Item it, uint64_t when);
+    /** Mark the visits reading input stream @p slot pending in the
+     *  cascade's current wave. */
     void seedRegion(Activation* a, int slot);
     /** One cascade over activation @p a's region: fire every queued
      *  tape op as often as its streams allow. */
@@ -582,8 +675,15 @@ class DataflowSimulator
                                 const std::vector<uint32_t>& args,
                                 uint64_t when, Activation* parent,
                                 int parentCallNode);
-    void deliver(Activation* a, int node, int slot, Item item,
+    /** Route one delivery by its consumer record: a region
+     *  pseudo-node absorbs it (fireRegion), any other node gets it
+     *  through the event queue (enqueue). */
+    void deliver(Activation* a, Consumer to, Item item, uint64_t when);
+    /** Queue a delivery to fifo @p slot of real node @p node. */
+    void enqueue(Activation* a, int node, int slot, Item item,
                  uint64_t when);
+    /** Deliver @p value on every consumer of (@p node, @p port), in
+     *  CSR order, after the port's in-order clock and fabric costs. */
     void output(Activation* a, int node, int port, uint32_t value,
                 uint64_t when, bool eos = false);
     bool ready(const Activation* a, int node) const;
@@ -648,21 +748,24 @@ class DataflowSimulator
     uint64_t fabricCreditStallCycles_ = 0;
 
     // --- macro-engine cascade scratch (reused, never shrunk) ---------
-    /** Pending flag per tape index: set when one of the op's operand
-     *  streams grows, cleared as the cascade's wave scan visits it.
-     *  All-zero between cascades (error paths wipe it wholesale). */
-    std::vector<uint8_t> regInWork_;
-    /** Worklists of pending scan positions: regNext_ collects seeds
-     *  for the upcoming wave (unsorted; sorted as the wave starts),
-     *  regWave_ is the wave being drained in ascending scan order so
-     *  producers fire before in-wave consumers.  Cost scales with
-     *  active ops, not tape width — regions bundle every loop of a
-     *  graph, so one boundary delivery usually touches a small
-     *  neighborhood of a much wider tape. */
-    std::vector<int32_t> regWave_;
-    std::vector<int32_t> regNext_;
-    /** Any graph compiled a region (single branch in deliver()). */
-    bool haveRegions_ = false;
+    /**
+     * Pending scan positions (CompiledRegion::visits), one bit each,
+     * sized to the widest region: the wave being drained and the next
+     * wave.  The cascade drains the current wave with an ascending
+     * count-trailing-zeros scan, so producers fire before in-wave
+     * consumers.  A production marks each consumer not already
+     * pending in either set: a forward consumer (later scan position)
+     * in the current wave, where the scan still reaches it, a back
+     * edge (through a merge) in the next one.  Both are all-zero
+     * between cascades (the abort path clears them).
+     */
+    std::vector<uint64_t> regWaveBits_;
+    std::vector<uint64_t> regNextBits_;
+    /** Firings per region visit (merge or whole cone), one counter
+     *  per scan position of every graph (GraphIndex::visitBase);
+     *  cleared when run() starts, folded into fireCounts_ by kind
+     *  when it ends. */
+    std::vector<uint64_t> regVisitFires_;
     /** (activation, input slot) deliveries absorbed but not yet
      *  cascaded (the item is already in the ring); drained FIFO by
      *  flushRegions() when the run loop's worklist empties. */
@@ -692,12 +795,12 @@ class DataflowSimulator
      *  pushes per event instead of O(log n) heap percolation. */
     static constexpr int kCoarseLevels = 3;
     /** Events at exactly now_, in (time, seq) order. */
-    std::vector<Event> ready_;
+    RecordBuf<Event> ready_;
     size_t readyHead_ = 0;
     /** wheel_[t & (kWheelSize-1)]: events at time t, for t in
      *  (now_, now_ + kWheelSize]; each slot holds a single timestamp
      *  (see advanceTime()). */
-    std::array<std::vector<Event>, kWheelSize> wheel_;
+    std::array<RecordBuf<Event>, kWheelSize> wheel_;
     /** Slot occupancy bits (bit s of word s/64 = slot s non-empty):
      *  advanceTime() finds the nearest pending slot with a circular
      *  count-trailing-zeros scan instead of probing slot by slot. */
@@ -710,7 +813,7 @@ class DataflowSimulator
     std::array<uint8_t, kWheelSize> wheelDirty_{};
     /** coarse_[j][(t >> kWheelBits*(j+1)) & (kWheelSize-1)]: events
      *  of one band, in insertion order (seq order unless dirty). */
-    std::array<std::array<std::vector<TimedEvent>, kWheelSize>,
+    std::array<std::array<RecordBuf<TimedEvent>, kWheelSize>,
                kCoarseLevels>
         coarse_;
     std::array<std::array<uint64_t, kWheelWords>, kCoarseLevels>
@@ -772,6 +875,8 @@ class DataflowSimulator
     uint64_t eqExtraEvents_ = 0;
     /** Firings per NodeKind, reported as "sim.fire.<kind>". */
     std::vector<uint64_t> fireCounts_;
+    /** Add regVisitFires_ to fireCounts_, by node kind. */
+    void foldRegionFires();
 };
 
 } // namespace cash

@@ -272,15 +272,18 @@ compileRegions(const RegionGraphView& view, int minOps)
     // Evaluation cones: per sink, its fused in-tree in operands-
     // before-consumers order (iterative postorder — chains can be
     // deep).  A member's cone-local position is its register slot.
+    // Fused members and merges get an empty range: the cascade only
+    // ever visits sinks and merges.
     std::vector<int32_t> slotOf(n, -1);
-    R.coneOff.resize(R.tape.size() + 1);
+    std::vector<int32_t> coneOff(R.tape.size() + 1);
+    std::vector<int32_t> coneOp;  // tape indices
     std::vector<std::pair<int32_t, size_t>> dfs;
     for (size_t t = 0; t < R.tape.size(); t++) {
-        R.coneOff[t] = static_cast<int32_t>(R.coneOp.size());
+        coneOff[t] = static_cast<int32_t>(coneOp.size());
         const RegionOp& op = R.tape[t];
         if (fused[op.dense])
             continue;  // member: evaluated inside its sink's cone
-        const int32_t base = static_cast<int32_t>(R.coneOp.size());
+        const int32_t base = static_cast<int32_t>(coneOp.size());
         dfs.clear();
         dfs.emplace_back(op.dense, 0);
         while (!dfs.empty()) {
@@ -301,23 +304,30 @@ compileRegions(const RegionGraphView& view, int minOps)
             if (descended)
                 continue;
             if (nd != op.dense) {
-                slotOf[nd] =
-                    static_cast<int32_t>(R.coneOp.size()) - base;
-                R.coneOp.push_back(tapeOf[nd]);
+                slotOf[nd] = static_cast<int32_t>(coneOp.size()) - base;
+                coneOp.push_back(tapeOf[nd]);
             }
             dfs.pop_back();
         }
-        R.coneOp.push_back(static_cast<int32_t>(t));  // sink last
-        const int32_t csize =
-            static_cast<int32_t>(R.coneOp.size()) - base;
+        coneOp.push_back(static_cast<int32_t>(t));  // sink last
+        const int32_t csize = static_cast<int32_t>(coneOp.size()) - base;
         if (csize > R.coneMax)
             R.coneMax = csize;
     }
-    R.coneOff[R.tape.size()] = static_cast<int32_t>(R.coneOp.size());
+    coneOff[R.tape.size()] = static_cast<int32_t>(coneOp.size());
 
     // Operand encodings, in original input order (operand k of a tape
     // op is input k of its node — deadlock diagnostics rely on this).
+    // Interior operands of AND-firing ops are deliveries the event
+    // engine would have dispatched per firing (equivalent-event
+    // accounting); merges consume a variable operand subset per
+    // firing, so the evaluator counts their reads instead.
     std::map<uint32_t, int32_t> constIdx;
+    std::vector<uint32_t> constPool;
+    std::vector<int32_t> eqInterior(R.tape.size(), 0);
+    std::vector<int8_t> argRole;
+    std::vector<int32_t> fwdK(R.tape.size(), -1);
+    std::vector<int32_t> deciderK(R.tape.size(), -1);
     for (size_t t = 0; t < R.tape.size(); t++) {
         RegionOp& op = R.tape[t];
         const RegionGraphView::NodeV& nv = view.nodes[op.dense];
@@ -329,22 +339,22 @@ compileRegions(const RegionGraphView& view, int minOps)
             if (in.isConst) {
                 auto [it, fresh] = constIdx.emplace(
                     in.constValue,
-                    static_cast<int32_t>(R.constPool.size()));
+                    static_cast<int32_t>(constPool.size()));
                 if (fresh)
-                    R.constPool.push_back(in.constValue);
+                    constPool.push_back(in.constValue);
                 enc = regArgEncode(RegArg::Const, it->second);
             } else if (cand[in.node] && fused[in.node]) {
                 enc = regArgEncode(RegArg::Reg, slotOf[in.node]);
                 CASH_ASSERT(slotOf[in.node] >= 0,
                             "fused producer without a register slot");
                 if (op.mSlot < 0)
-                    op.eqInterior++;
+                    eqInterior[t]++;
             } else if (cand[in.node]) {
                 const int32_t ring = R.tape[tapeOf[in.node]].outRing;
                 CASH_ASSERT(ring >= 0, "interior edge without ring");
                 enc = regArgEncode(RegArg::Stream, ring);
                 if (op.mSlot < 0)
-                    op.eqInterior++;
+                    eqInterior[t]++;
             } else if (in.initOnly) {
                 enc = regArgEncode(
                     RegArg::Stream,
@@ -356,53 +366,16 @@ compileRegions(const RegionGraphView& view, int minOps)
                     inStream.at(std::make_pair(in.node, in.port)));
             }
             R.args.push_back(enc);
-            R.argRole.push_back(in.role);
+            argRole.push_back(in.role);
             if (op.mSlot >= 0) {
                 if (in.role == kRegRoleDecider)
-                    op.deciderK = static_cast<int16_t>(k);
+                    deciderK[t] = static_cast<int32_t>(k);
                 else if (in.role == kRegRoleFwd)
-                    op.fwdK = static_cast<int16_t>(k);
+                    fwdK[t] = static_cast<int32_t>(k);
             }
         }
     }
     R.totalArgs = static_cast<int32_t>(R.args.size());
-
-    // One sink firing stands for every interior delivery its cone's
-    // members would have consumed under the event engine.
-    for (size_t t = 0; t < R.tape.size(); t++) {
-        RegionOp& op = R.tape[t];
-        if (op.mSlot >= 0 || fused[op.dense])
-            continue;
-        int32_t eq = 0;
-        for (int32_t ci = R.coneOff[t]; ci < R.coneOff[t + 1]; ci++)
-            eq += R.tape[R.coneOp[ci]].eqInterior;
-        op.coneEq = eq;
-    }
-
-    // Gate lists: per cone sink, the flat (ring, arg) pairs its
-    // firing-count scan walks — every stream operand anywhere in the
-    // cone, so the evaluator never re-decodes members or tags just to
-    // learn a visit is premature.
-    R.gateOff.resize(R.tape.size() + 1);
-    for (size_t t = 0; t < R.tape.size(); t++) {
-        R.gateOff[t] = static_cast<int32_t>(R.gateRing.size());
-        const RegionOp& op = R.tape[t];
-        if (op.mSlot >= 0 || fused[op.dense])
-            continue;
-        for (int32_t ci = R.coneOff[t]; ci < R.coneOff[t + 1];
-             ci++) {
-            const RegionOp& m = R.tape[R.coneOp[ci]];
-            for (int32_t k = 0; k < m.argCnt; k++) {
-                const int32_t enc = R.args[m.argOff + k];
-                if (regArgTag(enc) != RegArg::Stream)
-                    continue;
-                R.gateRing.push_back(regArgIndex(enc));
-                R.gateArg.push_back(m.argOff + k);
-            }
-        }
-    }
-    R.gateOff[R.tape.size()] =
-        static_cast<int32_t>(R.gateRing.size());
 
     // Ring consumer lists (CSR): cone sinks to seed in the cascade (a
     // ring read by a fused member wakes the member's sink), consuming
@@ -421,60 +394,52 @@ compileRegions(const RegionGraphView& view, int minOps)
             const int32_t ring = regArgIndex(enc);
             ringArgs[ring].push_back(op.argOff + k);
             std::vector<int32_t>& ops = ringOps[ring];
-            if (std::find(ops.begin(), ops.end(), sinkT) ==
-                ops.end())
+            if (std::find(ops.begin(), ops.end(), sinkT) == ops.end())
                 ops.push_back(sinkT);
         }
     }
-    R.seedOff.resize(static_cast<size_t>(R.numRings) + 1);
     R.gcOff.resize(static_cast<size_t>(R.numRings) + 1);
     for (int32_t r = 0; r < R.numRings; r++) {
-        R.seedOff[r] = static_cast<int32_t>(R.seedOp.size());
-        R.seedOp.insert(R.seedOp.end(), ringOps[r].begin(),
-                        ringOps[r].end());
         R.gcOff[r] = static_cast<int32_t>(R.gcArg.size());
         R.gcArg.insert(R.gcArg.end(), ringArgs[r].begin(),
                        ringArgs[r].end());
     }
-    R.seedOff[R.numRings] = static_cast<int32_t>(R.seedOp.size());
     R.gcOff[R.numRings] = static_cast<int32_t>(R.gcArg.size());
 
     R.inputEdges.resize(static_cast<size_t>(nIn));
     for (int32_t r = 0; r < nIn; r++)
         R.inputEdges[r] = static_cast<int32_t>(ringArgs[r].size());
 
-    // Cascade scan order (see the header): merges first, then cone
+    // Cascade scan order (see RegionVisit): merges first, then cone
     // sinks in topological order of forward sink-to-sink ring edges
     // (iterative DFS postorder, reversed).  Cycles can only pass
     // through merges or through pure sink loops that never fire, so
     // ignoring DFS back edges is safe.
-    R.scanPos.assign(R.tape.size(), -1);
+    std::vector<int32_t> scanOrder;
     for (size_t t = 0; t < R.tape.size(); t++)
         if (R.tape[t].mSlot >= 0)
-            R.scanOrder.push_back(static_cast<int32_t>(t));
+            scanOrder.push_back(static_cast<int32_t>(t));
     {
         std::vector<int8_t> st(R.tape.size(), 0);
         std::vector<int32_t> post;
-        std::vector<std::pair<int32_t, int32_t>> stk;
+        std::vector<std::pair<int32_t, size_t>> stk;
         for (size_t t0 = 0; t0 < R.tape.size(); t0++) {
             const RegionOp& op0 = R.tape[t0];
             if (op0.mSlot >= 0 || fused[op0.dense] || st[t0])
                 continue;
-            stk.assign(1, {static_cast<int32_t>(t0), -1});
+            stk.assign(1, {static_cast<int32_t>(t0), 0});
             st[t0] = 1;
             while (!stk.empty()) {
                 const int32_t t = stk.back().first;
-                int32_t& s = stk.back().second;
+                size_t& s = stk.back().second;
                 const int32_t ring = R.tape[t].outRing;
-                if (s < 0)
-                    s = ring >= 0 ? R.seedOff[ring] : INT32_MAX;
                 bool descended = false;
-                while (ring >= 0 && s < R.seedOff[ring + 1]) {
-                    const int32_t c = R.seedOp[s++];
+                while (ring >= 0 && s < ringOps[ring].size()) {
+                    const int32_t c = ringOps[ring][s++];
                     if (R.tape[c].mSlot >= 0 || st[c])
                         continue;
                     st[c] = 1;
-                    stk.emplace_back(c, -1);
+                    stk.emplace_back(c, 0);
                     descended = true;
                     break;
                 }
@@ -485,11 +450,121 @@ compileRegions(const RegionGraphView& view, int minOps)
                 stk.pop_back();
             }
         }
-        R.scanOrder.insert(R.scanOrder.end(), post.rbegin(),
-                           post.rend());
+        scanOrder.insert(scanOrder.end(), post.rbegin(), post.rend());
     }
-    for (size_t p = 0; p < R.scanOrder.size(); p++)
-        R.scanPos[R.scanOrder[p]] = static_cast<int32_t>(p);
+    std::vector<int32_t> scanPos(R.tape.size(), -1);
+    for (size_t p = 0; p < scanOrder.size(); p++)
+        scanPos[scanOrder[p]] = static_cast<int32_t>(p);
+
+    // Seed lists in scan positions, so the cascade never maps tape
+    // indices back to its worklist order.  An interior ring has one
+    // producer visit, so whether a consumer lies ahead of it in the
+    // scan (forward edge) or not (back edge, through a merge) is
+    // static: forward consumers come first, back ones from seedBack.
+    // Input rings have no producer visit; all their seeds count as
+    // forward.
+    std::vector<int32_t> producerPos(static_cast<size_t>(R.numRings), -1);
+    for (size_t t = 0; t < R.tape.size(); t++)
+        if (R.tape[t].outRing >= 0)
+            producerPos[R.tape[t].outRing] = scanPos[t];
+    R.seedOff.resize(static_cast<size_t>(R.numRings) + 1);
+    R.seedBack.resize(static_cast<size_t>(R.numRings));
+    for (int32_t r = 0; r < R.numRings; r++) {
+        R.seedOff[r] = static_cast<int32_t>(R.seedPos.size());
+        const int32_t from = producerPos[r];
+        for (const int32_t t : ringOps[r])
+            if (from < 0 || scanPos[t] > from)
+                R.seedPos.push_back(scanPos[t]);
+        R.seedBack[r] = static_cast<int32_t>(R.seedPos.size());
+        for (const int32_t t : ringOps[r])
+            if (from >= 0 && scanPos[t] <= from)
+                R.seedPos.push_back(scanPos[t]);
+    }
+    R.seedOff[R.numRings] = static_cast<int32_t>(R.seedPos.size());
+
+    // Pre-decoded visits, one per scan position: a cone's operators
+    // with resolved operands and its gating streams, or a merge's
+    // forward, decider and back-edge operands.
+    auto src = [&](int32_t argIdx) {
+        const int32_t enc = R.args[argIdx];
+        RegionSrc s;
+        switch (regArgTag(enc)) {
+          case RegArg::Stream:
+            s.ring = regArgIndex(enc);
+            s.x = static_cast<uint32_t>(argIdx);
+            break;
+          case RegArg::Const:
+            s.ring = kRegSrcConst;
+            s.x = constPool[regArgIndex(enc)];
+            break;
+          case RegArg::Reg:
+            s.ring = kRegSrcReg;
+            s.x = static_cast<uint32_t>(regArgIndex(enc));
+            break;
+        }
+        return s;
+    };
+    R.visits.resize(scanOrder.size());
+    for (size_t p = 0; p < scanOrder.size(); p++) {
+        const int32_t t = scanOrder[p];
+        const RegionOp& op = R.tape[t];
+        RegionVisit& v = R.visits[p];
+        v.outRing = op.outRing;
+        v.mSlot = op.mSlot;
+        v.gateOff = static_cast<int32_t>(R.gates.size());
+        v.coneOff = static_cast<int32_t>(R.coneOps.size());
+        if (op.mSlot >= 0) {
+            // The merge's own record: emission target and the kind its
+            // firings are counted under.
+            RegionConeOp self;
+            self.kind = op.kind;
+            self.hasExternal = op.hasExternal;
+            self.dense = op.dense;
+            self.argOff = static_cast<int32_t>(R.coneArgs.size());
+            R.coneOps.push_back(self);
+            v.coneCnt = 1;
+            R.gates.push_back(src(op.argOff + fwdK[t]));
+            CASH_ASSERT(R.gates.back().ring >= 0,
+                        "merge forward operand is not a stream");
+            RegionSrc decider;
+            decider.ring = kRegSrcNone;
+            if (deciderK[t] >= 0)
+                decider = src(op.argOff + deciderK[t]);
+            R.gates.push_back(decider);
+            for (int32_t k = 0; k < op.argCnt; k++) {
+                if (argRole[op.argOff + k] != kRegRoleBack)
+                    continue;
+                R.gates.push_back(src(op.argOff + k));
+                CASH_ASSERT(R.gates.back().ring >= 0,
+                            "merge back operand is not a stream");
+            }
+            v.gateEnd = static_cast<int32_t>(R.gates.size());
+            continue;
+        }
+        v.coneCnt = coneOff[t + 1] - coneOff[t];
+        for (int32_t ci = coneOff[t]; ci < coneOff[t + 1]; ci++) {
+            const int32_t mt = coneOp[ci];
+            const RegionOp& m = R.tape[mt];
+            v.coneEq += eqInterior[mt];
+            RegionConeOp co;
+            co.kind = m.kind;
+            co.op = m.op;
+            co.unary = m.unary;
+            co.latency = m.latency;
+            co.hasExternal = m.hasExternal;
+            co.argCnt = static_cast<uint16_t>(m.argCnt);
+            co.dense = m.dense;
+            co.argOff = static_cast<int32_t>(R.coneArgs.size());
+            R.coneOps.push_back(co);
+            for (int32_t k = 0; k < m.argCnt; k++) {
+                const RegionSrc s = src(m.argOff + k);
+                R.coneArgs.push_back(s);
+                if (s.ring >= 0)
+                    R.gates.push_back(s);
+            }
+        }
+        v.gateEnd = static_cast<int32_t>(R.gates.size());
+    }
 
     plan.regions.push_back(std::move(R));
     return plan;

@@ -68,12 +68,6 @@
 
 namespace cash {
 
-/**
- * The simulator-independent view of one graph the region compiler
- * consumes: per dense node, its kind/op/latency and input edges
- * (with constant-folded inputs resolved, mirroring the simulator's
- * input descriptors).
- */
 /** Role of one merge operand in the mode machine. */
 enum : int8_t
 {
@@ -86,6 +80,12 @@ enum : int8_t
  *  buffer); wider muxes stay event-driven. */
 constexpr int32_t kMaxRegionMuxArgs = 64;
 
+/**
+ * The simulator-independent view of one graph the region compiler
+ * consumes: per dense node, its kind/op/latency and input edges
+ * (with constant-folded inputs resolved, mirroring the simulator's
+ * input descriptors).
+ */
 struct RegionGraphView
 {
     struct In
@@ -129,7 +129,7 @@ struct RegionGraphView
 enum class RegArg : int32_t
 {
     Stream = 0, ///< Ring buffer (region input or interior result stream).
-    Const = 1,  ///< Constant (index into CompiledRegion::constPool).
+    Const = 1,  ///< Constant (index into the region's constant pool).
     Reg = 2,    ///< Cone-local register (fused single-consumer chain).
 };
 inline int32_t
@@ -148,7 +148,9 @@ regArgIndex(int32_t enc)
     return enc >> 2;
 }
 
-/** One entry of a region's op-tape (dense-node order). */
+/** One entry of a region's op-tape (dense-node order): the graph-level
+ *  view of an absorbed operator, kept for diagnostics and set-up.  The
+ *  cascade itself reads only the pre-decoded visit tables below. */
 struct RegionOp
 {
     int32_t dense = -1;  ///< Original node (emissions, diagnostics).
@@ -157,31 +159,84 @@ struct RegionOp
     bool unary = false;
     uint8_t latency = 0;
     /** Some consumer is outside the region: results leave through the
-     *  ordinary output()/deliver() path. */
+     *  ordinary output() path. */
     uint8_t hasExternal = 0;
     int32_t argOff = 0;  ///< Operands in CompiledRegion::args.
     int32_t argCnt = 0;
     /** Interior result stream fed by this op, or -1 when no interior
      *  consumer exists. */
     int32_t outRing = -1;
-    /** Operands read from interior streams: deliveries the event
-     *  engine would have dispatched per firing (equivalent-event
-     *  accounting).  Merges consume a variable operand subset per
-     *  firing, so theirs stays 0 and the evaluator counts reads. */
-    int32_t eqInterior = 0;
     /** Merges: dense index into the per-activation mode/time state,
      *  or -1 for AND-firing operators. */
     int32_t mSlot = -1;
-    /** Cone sinks: interior deliveries one firing of the whole cone
-     *  stands for (sum of eqInterior over the cone, including the
-     *  sink itself); 0 elsewhere. */
-    int32_t coneEq = 0;
-    /** Merges: operand position of the single forward input and of
-     *  the decider (constant or stream; -1 when absent), precomputed
-     *  so the evaluator never rescans roles. */
-    int16_t fwdK = -1;
-    int16_t deciderK = -1;
 };
+
+/**
+ * A pre-decoded operand: where one read comes from, resolved at
+ * compile time so a firing never decodes RegArg tags.
+ *
+ *   * `ring >= 0` — stream `ring`, read at consumption counter `x`
+ *     (a global arg index into the per-activation counters);
+ *   * `ring == kRegSrcConst` — the constant `x`;
+ *   * `ring == kRegSrcReg` — cone register slot `x`;
+ *   * `ring == kRegSrcNone` — absent (a merge without a decider).
+ */
+struct RegionSrc
+{
+    int32_t ring = -1;
+    uint32_t x = 0;
+};
+constexpr int32_t kRegSrcConst = -1;
+constexpr int32_t kRegSrcReg = -2;
+constexpr int32_t kRegSrcNone = -3;
+
+/** One operator of an evaluation cone, pre-decoded. */
+struct RegionConeOp
+{
+    NodeKind kind = NodeKind::Arith;
+    Op op = Op::Add;
+    bool unary = false;
+    uint8_t latency = 0;
+    uint8_t hasExternal = 0;  ///< Sink only: emits through output().
+    uint16_t argCnt = 0;
+    int32_t dense = -1;       ///< Original node (external emissions).
+    int32_t argOff = 0;       ///< Operands in CompiledRegion::coneArgs.
+};
+
+/**
+ * One cascade scan position (32 bytes): a cone sink or an absorbed
+ * merge, with everything one visit reads.  Scan positions order the
+ * cascade — merges first, then cone sinks topologically over forward
+ * sink-to-sink ring edges, so one ascending scan fires an entire
+ * acyclic wave: producers always before consumers, and only back
+ * edges (which must pass through merges) carry work into another
+ * wave.
+ */
+struct RegionVisit
+{
+    int32_t outRing = -1;  ///< Result stream, or -1.
+    /** Merge: the per-activation mode/time slot; -1 for a cone. */
+    int32_t mSlot = -1;
+    /** Cone: its operators in CompiledRegion::coneOps, fused chain
+     *  members in operands-before-consumers order with the sink last
+     *  (a member's cone-local position is its register slot).  Merge:
+     *  one operand-less record of the merge itself (emission target,
+     *  firing-count kind). */
+    int32_t coneOff = 0;
+    int32_t coneCnt = 0;
+    /** Cone: every stream operand anywhere in the cone, so the
+     *  firing-count scan is one flat loop of `tail - consumed`.
+     *  Merge: the forward operand, the decider (constant, stream or
+     *  kRegSrcNone), then the back-edge operands in operand order.
+     *  Both are ranges of CompiledRegion::gates. */
+    int32_t gateOff = 0;
+    int32_t gateEnd = 0;
+    /** Cone: interior deliveries one firing of the whole cone stands
+     *  for under the event engine (equivalent-event accounting). */
+    int32_t coneEq = 0;
+    int32_t pad = 0;  ///< Rounds the record up to 32 bytes.
+};
+static_assert(sizeof(RegionVisit) == 32, "two visits per cache line");
 
 /** One compiled super-operator (at most one per graph). */
 struct CompiledRegion
@@ -199,47 +254,30 @@ struct CompiledRegion
     std::vector<Input> inputs;
     int32_t numRings = 0;
     std::vector<RegionOp> tape;
-    std::vector<int32_t> args;       ///< Encoded operands (RegArg).
-    /** Parallel to args: merge operand roles (kRegRole*); 0 for
-     *  AND-firing operators' operands. */
-    std::vector<int8_t> argRole;
-    std::vector<uint32_t> constPool;
+    /** Encoded operands (RegArg), operand k of a tape op being input
+     *  k of its node (diagnostics, set-up). */
+    std::vector<int32_t> args;
     /** Absorbed merge count: sizes per-activation mode/time state. */
     int32_t numMerges = 0;
     /** Per input stream: original interior consumer edge count; a
      *  collapsed delivery stands for that many event-engine ones. */
     std::vector<int32_t> inputEdges;
-    /** Ring -> consuming cone sinks (cascade seeding), CSR layout.
-     *  A ring read by a fused chain member wakes the chain's sink. */
+
+    /** Cascade visits, indexed by scan position. */
+    std::vector<RegionVisit> visits;
+    std::vector<RegionConeOp> coneOps;
+    std::vector<RegionSrc> coneArgs;
+    /** Gate and merge-operand ranges (RegionVisit::gateOff). */
+    std::vector<RegionSrc> gates;
+    /** Ring -> scan positions of the visits reading it (cascade
+     *  seeding), CSR layout.  A ring read by a fused chain member
+     *  wakes the chain's sink.  Consumers after the ring's producer
+     *  in scan order come first; seedBack[ring] starts the rest. */
     std::vector<int32_t> seedOff;
-    std::vector<int32_t> seedOp;
-    /** Tape op -> its evaluation cone (CSR over tape indices): the
-     *  fused single-consumer chain members feeding a sink, in
-     *  operands-before-consumers order, with the sink itself last.
-     *  Fused members and absorbed merges get an empty range — the
-     *  worklist only ever visits sinks.  A member's cone-local
-     *  position is its register slot (RegArg::Reg operands). */
-    std::vector<int32_t> coneOff;
-    std::vector<int32_t> coneOp;
+    std::vector<int32_t> seedBack;
+    std::vector<int32_t> seedPos;
     /** Widest cone (sizes the evaluator's register scratch). */
     int32_t coneMax = 0;
-    /** Sink -> gating stream operands (CSR over tape indices): a
-     *  (ring, global arg index) pair per stream operand anywhere in
-     *  the sink's cone, so the evaluator's firing-count scan is one
-     *  flat loop of `tail - consumed` with no member or tag
-     *  decoding.  Empty for merges (the mode machine gates itself). */
-    std::vector<int32_t> gateOff;
-    std::vector<int32_t> gateRing;
-    std::vector<int32_t> gateArg;
-    /** Cascade scan order (tape indices): merges first, then cone
-     *  sinks topologically over forward sink-to-sink ring edges, so
-     *  one ascending scan fires an entire acyclic wave — producers
-     *  always before consumers, and only back edges (which must pass
-     *  through merges) carry work into another scan.  scanPos is the
-     *  inverse map (tape index -> scan position; -1 for fused
-     *  members, which are never seeded). */
-    std::vector<int32_t> scanOrder;
-    std::vector<int32_t> scanPos;
     /** Ring -> consuming operand positions (ring garbage collection):
      *  entries are global arg indices, whose consumption counters
      *  bound the reclaimable prefix. */

@@ -251,6 +251,51 @@ TEST(MacroEngineRegions, SuiteKernelsCompileAndFireRegions)
         << "regions fired but inlined <= one op per firing";
 }
 
+// A run aborted inside a cascade (the in-cascade event-budget check)
+// leaves pending wave bits, region rings and per-visit firing counters
+// mid-flight.  The next run on the same simulator must not see any of
+// it: after reset() it reports exactly what a fresh simulator does.
+TEST(MacroEngineAbort, CascadeAbortLeavesNoStateBehind)
+{
+    const char* src = "int f(int n) { int s = 0;"
+                      " for (int i = 0; i < n; i++) s = s + i * i;"
+                      " return s; }";
+    CompileResult r = compileSource(src, {});
+    ASSERT_TRUE(r.ok());
+
+    DataflowSimulator fresh(r.graphPtrs(), *r.layout,
+                            MemConfig::realistic(2), SimEngine::Macro);
+    const SimResult want = fresh.run("f", {200});
+    ASSERT_TRUE(want.ok());
+    ASSERT_GT(want.stats.get("sim.region.ops_inlined"), 0);
+
+    // Every small budget aborts mid-cascade (the cascade counts
+    // equivalent events, so it overruns before the run loop does), at
+    // a different point of the wave each time; a rerun after each must
+    // match the fresh run exactly.
+    DataflowSimulator sim(r.graphPtrs(), *r.layout,
+                          MemConfig::realistic(2), SimEngine::Macro);
+    int tripped = 0;
+    for (uint64_t limit = 1; limit <= 256; limit++) {
+        SCOPED_TRACE("limit " + std::to_string(limit));
+        sim.reset();
+        sim.setMaxEvents(limit);
+        const SimResult cut = sim.run("f", {200});
+        if (cut.outcome != SimOutcome::EventLimit ||
+            cut.error.find("equivalent events") == std::string::npos)
+            continue;
+        tripped++;
+        sim.reset();
+        sim.setMaxEvents(200000000);
+        const SimResult again = sim.run("f", {200});
+        ASSERT_TRUE(again.ok());
+        EXPECT_EQ(again.returnValue, want.returnValue);
+        EXPECT_EQ(again.cycles, want.cycles);
+        EXPECT_EQ(again.stats.str(), want.stats.str());
+    }
+    EXPECT_GT(tripped, 0) << "no budget tripped the in-cascade check";
+}
+
 // Dropping a load-bearing delivery must starve the macro engine into
 // the same graceful deadlock outcome the event engine produces: a
 // populated starvation report, correct outcome stats, and byte-level
