@@ -13,6 +13,7 @@
  */
 #include <chrono>
 
+#include "analysis/interproc.h"
 #include "analysis/lint.h"
 #include "analysis/ordering_checker.h"
 #include "bench_util.h"
@@ -47,10 +48,17 @@ main()
         for (OptLevel level : kLevels) {
             CompileResult r = compileKernel(k, level);
 
+            // The interprocedural model runDriverRequest gives the
+            // lints: without it every call is Top and the checker
+            // flags the cross-call edges the pruning pass removed.
+            InterprocModel interproc(r.graphPtrs(), r.cfg->paramLocation,
+                                     *r.layout);
+
             // One lint run for the finding counts (all rules).
             LintContext lctx;
             lctx.oracle = &r.cfg->oracle;
             lctx.layout = r.layout.get();
+            lctx.interproc = &interproc;
             LintReport lint = runLints(r.graphPtrs(), lctx);
 
             // Timed loop: the ordering checker alone, rebuilt from
@@ -62,7 +70,7 @@ main()
                 for (const Graph* g : r.graphPtrs()) {
                     OrderingChecker checker(g ? *g : *r.graphs[0],
                                             &r.cfg->oracle,
-                                            r.layout.get());
+                                            r.layout.get(), &interproc);
                     std::vector<LintFinding> sink;
                     checker.check(sink);
                     agg.tokenNodes += checker.stats().tokenNodes;

@@ -6,7 +6,7 @@
  * cycles.
  *
  * For every multi-function kernel in the suite the bench compiles at
- * -O3 with the interprocedural layer off (`ipo=off`: every call reads
+ * opt=full with the interprocedural layer off (`ipo=off`: every call reads
  * and writes Top, the pre-PR model) and on (the default), counts the
  * direct token edges with a Call endpoint in the final graphs, and
  * runs both binaries on realistic dual-ported memory.  Three gates
@@ -93,7 +93,7 @@ int
 main()
 {
     std::printf("Interprocedural token pruning: cross-call edges and "
-                "cycles at -O3,\nipo=off (calls read/write Top) vs. "
+                "cycles at opt=full,\nipo=off (calls read/write Top) vs. "
                 "ipo=on (MOD/REF summaries)\n\n");
     std::printf("%-12s %6s %10s %10s %8s %10s %10s %8s\n", "kernel",
                 "calls", "edges-off", "edges-on", "removed",

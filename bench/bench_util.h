@@ -10,6 +10,7 @@
 #ifndef CASH_BENCH_BENCH_UTIL_H
 #define CASH_BENCH_BENCH_UTIL_H
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -68,7 +69,7 @@ struct JsonValue
     str() const
     {
         switch (kind) {
-          case Kind::Str: return "\"" + jsonEscape(s) + "\"";
+          case Kind::Str: return '"' + jsonEscape(s).append("\"");
           case Kind::Int: return std::to_string(i);
           case Kind::Bool: return i ? "true" : "false";
           case Kind::Num: {
@@ -165,6 +166,15 @@ runKernel(const Kernel& k, OptLevel level, const MemConfig& mem)
     CompileResult r = compileKernel(k, level);
     DataflowSimulator sim(r.graphPtrs(), *r.layout, mem);
     return sim.run(k.entry, k.args);
+}
+
+/** Monotonic wall clock in microseconds, for timing bench loops. */
+inline int64_t
+nowUs()
+{
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
 }
 
 /** printf a horizontal rule of @p width characters. */

@@ -72,7 +72,7 @@ Operand::str() const
 {
     switch (kind) {
       case Kind::None: return "_";
-      case Kind::Reg: return "r" + std::to_string(reg);
+      case Kind::Reg: return std::string("r").append(std::to_string(reg));
       case Kind::Const: return std::to_string(cval);
     }
     return "?";
@@ -102,8 +102,9 @@ Instr::str() const
            << value.str() << " rw" << rwSet.str();
         break;
       case InstrKind::Call: {
-        os << (dst >= 0 ? "r" + std::to_string(dst) + " = " : "")
-           << "call " << (callee ? callee->name : "?") << "(";
+        if (dst >= 0)
+            os << "r" << dst << " = ";
+        os << "call " << (callee ? callee->name : "?") << "(";
         for (size_t i = 0; i < args.size(); i++) {
             if (i)
                 os << ", ";

@@ -19,6 +19,107 @@ versionString(const std::string& tool)
            ", protocol " + std::to_string(kSvcProtocolVersion) + ")";
 }
 
+const char* const kRequestFlagUsage =
+    "  [--target opt=..,mem=..,engine=..,fabric=..,ipo=..]\n"
+    "  [--passes a,b,c] [--run 'f(1,2)'] [--max-events N]\n"
+    "  [--strict] [--verify-each-pass] [--no-verify]\n"
+    "  [--analyze[=rule,...]] [--analyze-strict]\n"
+    "  [--dump-cfg] [--dump-graph] [--dot]\n";
+
+namespace {
+
+std::vector<std::string>
+splitList(const std::string& csv)
+{
+    std::vector<std::string> out;
+    for (const std::string& s : split(csv, ','))
+        if (!trim(s).empty())
+            out.push_back(trim(s));
+    return out;
+}
+
+/** The request flags that take a value ("--flag V" or "--flag=V"). */
+RequestFlag
+parseValueFlag(int argc, char** argv, int* i, DriverRequest* req,
+               std::string* error)
+{
+    const std::string arg = argv[*i];
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    if (name != "--target" && name != "--passes" && name != "--run" &&
+        name != "--max-events")
+        return RequestFlag::NotMine;
+    std::string value;
+    if (eq != std::string::npos) {
+        value = arg.substr(eq + 1);
+    } else if (*i + 1 < argc) {
+        value = argv[++*i];
+    } else {
+        *error = name + " needs a value";
+        return RequestFlag::Bad;
+    }
+
+    Status st = Status::ok();
+    if (name == "--target") {
+        st = req->target.merge(value);
+    } else if (name == "--passes") {
+        for (std::string& p : splitList(value))
+            req->passNames.push_back(std::move(p));
+    } else if (name == "--run") {
+        std::string fn;
+        std::vector<uint32_t> args;
+        st = parseRunSpec(value, &fn, &args);
+        req->runSpec = value;
+    } else {
+        char* end = nullptr;
+        req->maxEvents = std::strtoull(value.c_str(), &end, 10);
+        if (value.empty() || value[0] == '-' || *end != '\0')
+            st = Status::error(ErrorCode::InternalError,
+                               "--max-events wants a non-negative"
+                               " integer, got '" + value + "'");
+    }
+    if (!st) {
+        *error = st.message();
+        return RequestFlag::Bad;
+    }
+    return RequestFlag::Consumed;
+}
+
+} // namespace
+
+RequestFlag
+parseRequestFlag(int argc, char** argv, int* i, DriverRequest* req,
+                 std::string* error)
+{
+    const std::string arg = argv[*i];
+    if (arg == "--strict") {
+        req->strict = true;
+    } else if (arg == "--verify-each-pass") {
+        req->verify = true;
+        req->orderingChecks = true;
+    } else if (arg == "--no-verify") {
+        req->verify = false;
+    } else if (arg == "--analyze") {
+        req->analyze = true;
+    } else if (arg.rfind("--analyze=", 0) == 0) {
+        req->analyze = true;
+        for (std::string& r : splitList(arg.substr(10)))
+            req->analyzeRules.push_back(std::move(r));
+    } else if (arg == "--analyze-strict") {
+        req->analyze = true;
+        req->analyzeStrict = true;
+    } else if (arg == "--dump-cfg") {
+        req->wantCfg = true;
+    } else if (arg == "--dump-graph") {
+        req->wantGraphText = true;
+    } else if (arg == "--dot") {
+        req->wantDot = true;
+    } else {
+        return parseValueFlag(argc, argv, i, req, error);
+    }
+    return RequestFlag::Consumed;
+}
+
 Status
 parseRunSpec(const std::string& spec, std::string* function,
              std::vector<uint32_t>* args)
@@ -228,6 +329,21 @@ diagnosticJson(const PassFailure& d)
 }
 
 } // namespace
+
+StatsJsonMeta
+statsJsonMeta(const DriverRequest& req, const std::string& file)
+{
+    StatsJsonMeta meta;
+    meta.file = file;
+    meta.run = req.runSpec;
+    meta.mem = req.target.mem;
+    meta.level = req.target.level;
+    // Only non-default targets surface the target string, so
+    // idealized-fabric documents keep their historical bytes.
+    if (!req.target.fabric.trivial() || !req.target.interproc)
+        meta.target = req.target.str();
+    return meta;
+}
 
 std::string
 statsJsonDocument(const DriverReply& rep, const StatsJsonMeta& meta,

@@ -5,9 +5,9 @@
  * `cashc` (the CLI) and `cashd` (the compile service, docs/SERVICE.md)
  * run the exact same workflow — compile, optionally analyze,
  * optionally simulate — so the workflow lives here, behind plain data
- * types, and the two front ends only differ in how they *parse*
- * requests (argv vs. `cash-svc-v1` frames) and *render* replies
- * (stdout/stderr vs. response frames).
+ * types.  The request flags `cashc` and the `cash` client share are
+ * parsed here too (parseRequestFlag); both print a reply through the
+ * one renderer of its service result body (service/protocol.h).
  *
  * Determinism contract: for a fixed DriverRequest (and no fault
  * plan), every field of DriverReply except wall-clock counters is
@@ -134,8 +134,41 @@ struct DriverReply
  */
 DriverReply runDriverRequest(const DriverRequest& req);
 
-// parseOptLevel / parseMemSpec / parseSimEngine moved to
-// driver/target_spec.h (included above) with the TargetSpec redesign.
+/** Outcome of offering one argv element to parseRequestFlag(). */
+enum class RequestFlag
+{
+    NotMine,  ///< Not a shared request flag; the front end decides.
+    Consumed, ///< Applied to the request (with its value, if any).
+    Bad,      ///< A request flag with a missing or invalid value.
+};
+
+/**
+ * The one request-flag grammar of `cashc` and `cash compile`: exactly
+ * the DriverRequest fields a `cash-svc-v1` request carries.
+ *
+ *   --target SPEC        compile/simulate target (target_spec.h), e.g.
+ *                        opt=O2,mem=real2,engine=macro,fabric=4x4:hop2;
+ *                        repeated flags merge field-wise, last wins
+ *   --passes a,b,c       custom pass pipeline (PassRegistry names)
+ *   --run f(1,2)         simulate calling f with integer args
+ *   --max-events N       simulator event budget (livelock guard)
+ *   --strict             pass failures are fatal, not rolled back
+ *   --verify-each-pass   verifier + ordering checker after every pass
+ *                        that changed the graph
+ *   --no-verify          skip graph verification entirely
+ *   --analyze[=r1,r2]    run the lint rules (default: all)
+ *   --analyze-strict     error findings exit 2 and skip simulation
+ *   --dump-cfg | --dump-graph | --dot    print the CFG / graphs / dot
+ *
+ * Value flags take the value as the next argument or after '='.
+ * Tries argv[*i]; on Consumed, *i points at the last argument used.
+ * On Bad, @p error names the problem.
+ */
+RequestFlag parseRequestFlag(int argc, char** argv, int* i,
+                             DriverRequest* req, std::string* error);
+
+/** Usage-text lines for the flags parseRequestFlag() accepts. */
+extern const char* const kRequestFlagUsage;
 
 /** "f(1,2,-3)" (or bare "f") → function name + argument values. */
 Status parseRunSpec(const std::string& spec, std::string* function,
@@ -160,6 +193,10 @@ struct StatsJsonMeta
      *  stay byte-identical to the pre-fabric schema). */
     std::string target;
 };
+
+/** The meta block of @p req's stats document, labelled @p file. */
+StatsJsonMeta statsJsonMeta(const DriverRequest& req,
+                            const std::string& file);
 
 /**
  * Render @p rep as a `cash-stats-v1` JSON document (docs/SCHEMAS.md):

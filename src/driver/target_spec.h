@@ -10,13 +10,14 @@
  *
  *     opt=O2,mem=real2,engine=macro,fabric=4x4:hop2
  *
- * Every front end resolves through this type — `cashc --target=SPEC`
- * (legacy `-O`/`--mem`/`--engine` flags are deprecated aliases that
- * call `setField`), and the service's `options.target` (object or
- * string form, docs/SCHEMAS.md) — so the CLI and the service can
- * never drift.  `str()` renders the canonical form; it round-trips
- * through `parse()` and is the target fragment of the service cache
- * key, which is why all three entry paths produce identical keys.
+ * Every front end resolves through this type — `--target=SPEC`, the
+ * only target flag of `cashc` and `cash`, and the service's
+ * `options.target` (object or string form, docs/SCHEMAS.md) plus its
+ * legacy `options.opt`/`mem`/`engine` keys — so the CLI and the
+ * service can never drift.  `str()` renders the canonical form; it
+ * round-trips through `parse()` and is the target fragment of the
+ * service cache key, which is why every entry path produces
+ * identical keys.
  */
 #ifndef CASH_DRIVER_TARGET_SPEC_H
 #define CASH_DRIVER_TARGET_SPEC_H
@@ -41,8 +42,8 @@ Status parseSimEngine(const std::string& name, SimEngine* out);
 
 /**
  * The compile/simulate target: opt level, memory system, simulation
- * engine and fabric shape.  Defaults match the historical flag
- * defaults (`-O3 --mem real2 --engine macro`, idealized fabric).
+ * engine and fabric shape.  Defaults are
+ * `opt=full,mem=real2,engine=macro` with the idealized fabric.
  */
 struct TargetSpec
 {
@@ -70,16 +71,16 @@ struct TargetSpec
 
     /**
      * Apply @p spec's fields on top of the current value (fields not
-     * named keep their setting) — the flag-combination semantics of
-     * the front ends, where the last setting of a field wins.
+     * named keep their setting) — repeated `--target` flags combine
+     * this way, and the last setting of a field wins.
      */
     Status merge(const std::string& spec);
 
     /**
-     * Set one field by key ("opt", "mem", "engine", "fabric") with
-     * full validation — the shared entry point for `parse`, the
-     * deprecated CLI aliases and the service's `options.target`
-     * object form.
+     * Set one field by key ("opt", "mem", "engine", "fabric", "ipo")
+     * with full validation — the shared entry point for `parse`, the
+     * service's legacy option keys and its `options.target` object
+     * form.
      */
     Status setField(const std::string& key, const std::string& value);
 

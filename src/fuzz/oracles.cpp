@@ -107,6 +107,17 @@ baseRequest(const std::string& source, const SoakConfig& cfg,
     return req;
 }
 
+/** The request both oracle-A paths run: in process and via cashd. */
+DriverRequest
+targetRequest(const std::string& source, const SoakConfig& cfg,
+              const TargetCase& t, const std::string& runSpec)
+{
+    DriverRequest req = baseRequest(source, cfg, runSpec);
+    req.target = t.spec;
+    req.analyze = t.analyze;
+    return req;
+}
+
 Observed
 observeReply(const std::string& label, const DriverReply& rep)
 {
@@ -132,11 +143,9 @@ runInProcess(const std::string& source, const SoakConfig& cfg,
              const TargetCase& t, const std::string& runSpec,
              CaseReport* rc)
 {
-    DriverRequest req = baseRequest(source, cfg, runSpec);
-    req.target = t.spec;
-    req.analyze = t.analyze;
     int64_t t0 = nowUs();
-    DriverReply rep = runDriverRequest(req);
+    DriverReply rep =
+        runDriverRequest(targetRequest(source, cfg, t, runSpec));
     rc->latenciesUs.push_back(nowUs() - t0);
     rc->runs++;
     return observeReply(t.label, rep);
@@ -151,14 +160,9 @@ runViaSocket(ServiceClient* client, const std::string& source,
     Observed o;
     o.label = t.label;
 
-    Json options = Json::object();
-    options.set("target", Json::string(t.spec.str()));
-    options.set("run", Json::string(runSpec));
-    options.set("max_events",
-                Json::number(static_cast<int64_t>(cfg.maxEvents)));
-    if (t.analyze)
-        options.set("analyze", Json::boolean(true));
-    Json req = makeCompileRequest("simulate", source, std::move(options));
+    Json req = makeCompileRequest(
+        "simulate", source,
+        svcRequestOptions(targetRequest(source, cfg, t, runSpec)));
 
     Json resp;
     int64_t t0 = nowUs();
@@ -328,11 +332,7 @@ judgeJobs(const std::string& source, const SoakConfig& cfg,
     req.wantGraphText = true;
     req.wantDot = true;
 
-    StatsJsonMeta meta;
-    meta.file = "soak";
-    meta.run = runSpec;
-    meta.mem = req.target.mem;
-    meta.level = req.target.level;
+    const StatsJsonMeta meta = statsJsonMeta(req, "soak");
 
     std::string docs[2], dots[2], graphs[2];
     const int jobs[2] = {1, cfg.jobsHigh};

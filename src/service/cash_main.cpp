@@ -1,8 +1,8 @@
 /**
  * @file
  * `cash` — the thin client for `cashd` (docs/SERVICE.md).  Connects
- * to the service socket, speaks `cash-svc-v1`, and renders results
- * in a cashc-compatible way so scripts can switch between the two.
+ * to the service socket, speaks `cash-svc-v1`, and prints results
+ * exactly as `cashc` does, so scripts can switch between the two.
  *
  * Usage:
  *   cash [--socket PATH] [--timeout MS] [--retries N]
@@ -22,26 +22,13 @@
  *   analyze FILE [options]     compile + run the analysis lints
  *   simulate FILE --run SPEC [options]
  *
- * Compile-family options:
- *   -O0..-O3          optimization level (default -O3)
- *   --passes=a,b,...  explicit pass list (overrides -O)
- *   --run f(1,2,...)  simulate after compiling
- *   --mem MODEL       perfect|real1|real2|real4 (default real2)
- *   --engine NAME     event|macro (default macro)
- *   --target SPEC     unified target spec, e.g.
- *                     opt=O2,mem=real2,engine=macro,fabric=4x4:hop2
- *                     (validated server-side by the same TargetSpec
- *                     parser as cashc --target)
- *   --max-events N    simulator event budget
- *   --analyze[=r1,r2] run analysis lints (all rules or a subset)
- *   --analyze-strict  analysis errors block simulation
- *   --ordering-checks enable memory-ordering soundness checking
- *   --strict          treat pass verification failures as fatal
- *   --no-verify       skip IR verification between passes
- *   --dump-cfg | --dump-graph | --dot   request text dumps
+ * Compile-family options: `cashc`'s request flags (parseRequestFlag,
+ * driver_lib.h), sent as svcRequestOptions(), plus the client-local
  *   --label NAME      request label (shows up in server traces)
  *   --json            print the raw response body JSON instead of
  *                     rendering; control commands always print JSON
+ * The rendered result is `cashc`'s output for the same flags
+ * (renderResultBody), with "cash: " as the stderr prefix.
  *
  * Exit code mirrors cashc: the remote compile's exit code (0 ok,
  * 1 compile/sim error, 2 usage or analysis-blocked), and 3 when the
@@ -67,14 +54,11 @@ usage()
         "            <command> [args]\n"
         "commands:\n"
         "  ping | version | stats | shutdown\n"
-        "  compile FILE [-O0..3] [--passes=a,b] [--run f(1,2)]\n"
-        "          [--mem MODEL] [--engine NAME] [--target SPEC]\n"
-        "          [--max-events N] [--analyze[=rules]]\n"
-        "          [--analyze-strict] [--ordering-checks] [--strict]\n"
-        "          [--no-verify] [--dump-cfg] [--dump-graph] [--dot]\n"
-        "          [--label NAME] [--json]\n"
+        "  compile FILE [request flags] [--label NAME] [--json]\n"
         "  analyze FILE [...]     (compile + lints)\n"
-        "  simulate FILE --run SPEC [...]\n";
+        "  simulate FILE --run SPEC [...]\n"
+        "request flags (as cashc):\n"
+              << kRequestFlagUsage;
     return 2;
 }
 
@@ -101,76 +85,6 @@ readSource(const std::string& file, std::string* out)
     ss << is.rdbuf();
     *out = ss.str();
     return true;
-}
-
-Json
-splitList(const std::string& csv)
-{
-    Json arr = Json::array();
-    std::string cur;
-    for (char c : csv) {
-        if (c == ',') {
-            if (!cur.empty())
-                arr.push(Json::string(cur));
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        arr.push(Json::string(cur));
-    return arr;
-}
-
-/** Render a compile-family response body the way cashc prints. */
-int
-renderBody(const Json& body)
-{
-    if (const Json* fatal = body.get("fatal"))
-        std::cerr << "error: " << fatal->asString() << "\n";
-
-    if (const Json* stats = body.get("stats")) {
-        if (const Json* diags = stats->get("diagnostics")) {
-            for (const Json& d : diags->items())
-                std::cerr << "warning: pass '" << d.getString("pass")
-                          << "' failed (" << d.getString("code")
-                          << "): " << d.getString("message") << "\n";
-        }
-        if (const Json* analysis = stats->get("analysis")) {
-            if (const Json* fs = analysis->get("findings"))
-                for (const Json& f : fs->items())
-                    std::cerr << f.getString("severity") << ": ["
-                              << f.getString("rule") << "] "
-                              << f.getString("function") << ": "
-                              << f.getString("explanation") << "\n";
-        }
-    }
-    if (const Json* analysis = body.get("analysis")) {
-        if (analysis->getBool("blocked_run"))
-            std::cerr << "analysis: errors reported with"
-                         " --analyze-strict; skipping execution\n";
-    }
-
-    if (const Json* cfg = body.get("cfg"))
-        std::cout << cfg->asString();
-    if (const Json* graph = body.get("graph"))
-        std::cout << graph->asString();
-    if (const Json* dot = body.get("dot"))
-        std::cout << dot->asString();
-
-    if (const Json* sim = body.get("sim")) {
-        if (sim->getString("outcome") == "ok") {
-            std::cout << "returned " << sim->getInt("return") << " in "
-                      << sim->getInt("cycles") << " cycles ("
-                      << sim->getString("mem") << " memory)\n";
-        } else {
-            std::cerr << "simulation error: "
-                      << sim->getString("error") << "\n";
-            if (const Json* dl = sim->get("deadlock"))
-                std::cerr << dl->asString();
-        }
-    }
-    return static_cast<int>(body.getInt("exit", 1));
 }
 
 } // namespace
@@ -201,26 +115,71 @@ main(int argc, char** argv)
         return usage();
     std::string cmd = argv[i++];
 
+    // Compile-family arguments are checked before connecting, so a
+    // usage error never waits on the server.
+    const bool compileFamily =
+        cmd == "compile" || cmd == "analyze" || cmd == "simulate";
+    DriverRequest req;
+    std::string source;
+    std::string label;
+    bool rawJson = false;
+    if (compileFamily) {
+        if (i >= argc)
+            return usage();
+        std::string file = argv[i++];
+        for (; i < argc; i++) {
+            std::string error;
+            RequestFlag r = parseRequestFlag(argc, argv, &i, &req, &error);
+            if (r == RequestFlag::Bad) {
+                std::cerr << "cash: " << error << "\n";
+                return usage();
+            }
+            if (r == RequestFlag::Consumed)
+                continue;
+            std::string arg = argv[i];
+            if (arg == "--label" && i + 1 < argc) {
+                label = argv[++i];
+            } else if (arg == "--json") {
+                rawJson = true;
+            } else {
+                return usage();
+            }
+        }
+        if (!readSource(file, &source)) {
+            std::cerr << "cash: cannot read " << file << "\n";
+            return 2;
+        }
+        if (label.empty() && file != "-")
+            label = file;
+    } else if (cmd != "ping" && cmd != "version" && cmd != "stats" &&
+               cmd != "shutdown") {
+        return usage();
+    }
+
     if (cmd == "version" && i >= argc) {
         // Print the client version even when no server is running.
         std::cout << versionString("cash") << "\n";
     }
 
-    ServiceClient client;
-    if (timeoutMs > 0)
-        client.setIoTimeoutMs(timeoutMs);
-    Status st = client.connectWithRetry(socketPath, retries);
-    if (!st) {
-        std::cerr << "cash: " << st.message() << "\n";
+    // Transport failures (unreachable server, timeout setup, protocol
+    // skew) exit 3.
+    auto transportError = [](const Status& failure) {
+        std::cerr << "cash: " << failure.message() << "\n";
         return 3;
-    }
+    };
+    ServiceClient client;
+    Status st = Status::ok();
+    if (timeoutMs > 0)
+        st = client.setIoTimeoutMs(timeoutMs);
+    if (st)
+        st = client.connectWithRetry(socketPath, retries);
+    if (!st)
+        return transportError(st);
 
     if (cmd == "ping") {
         st = client.ping();
-        if (!st) {
-            std::cerr << "cash: " << st.message() << "\n";
-            return 3;
-        }
+        if (!st)
+            return transportError(st);
         std::cout << "ok\n";
         return 0;
     }
@@ -235,98 +194,26 @@ main(int argc, char** argv)
     if (cmd == "stats") {
         Json resp;
         st = client.metrics(&resp);
-        if (!st) {
-            std::cerr << "cash: " << st.message() << "\n";
-            return 3;
-        }
+        if (!st)
+            return transportError(st);
         const Json* body = resp.get("body");
         std::cout << (body ? body->dump() : resp.dump()) << "\n";
         return 0;
     }
     if (cmd == "shutdown") {
         st = client.shutdownServer();
-        if (!st) {
-            std::cerr << "cash: " << st.message() << "\n";
-            return 3;
-        }
+        if (!st)
+            return transportError(st);
         std::cout << "shutdown requested\n";
         return 0;
     }
 
-    if (cmd != "compile" && cmd != "analyze" && cmd != "simulate")
-        return usage();
-    if (i >= argc)
-        return usage();
-    std::string file = argv[i++];
-
-    Json options = Json::object();
-    std::string label;
-    bool rawJson = false;
-    for (; i < argc; i++) {
-        std::string arg = argv[i];
-        if (arg.rfind("-O", 0) == 0 && arg.size() == 3) {
-            options.set("opt", Json::string(arg.substr(2)));
-        } else if (arg.rfind("--passes=", 0) == 0) {
-            options.set("passes", splitList(arg.substr(9)));
-        } else if (arg == "--run" && i + 1 < argc) {
-            options.set("run", Json::string(argv[++i]));
-        } else if (arg == "--mem" && i + 1 < argc) {
-            options.set("mem", Json::string(argv[++i]));
-        } else if (arg == "--engine" && i + 1 < argc) {
-            options.set("engine", Json::string(argv[++i]));
-        } else if (arg == "--target" && i + 1 < argc) {
-            options.set("target", Json::string(argv[++i]));
-        } else if (arg.rfind("--target=", 0) == 0) {
-            options.set("target", Json::string(arg.substr(9)));
-        } else if (arg == "--max-events" && i + 1 < argc) {
-            options.set("max_events",
-                        Json::number(
-                            static_cast<int64_t>(std::atoll(argv[++i]))));
-        } else if (arg == "--analyze") {
-            options.set("analyze", Json::boolean(true));
-        } else if (arg.rfind("--analyze=", 0) == 0) {
-            options.set("analyze", Json::boolean(true));
-            options.set("analyze_rules", splitList(arg.substr(10)));
-        } else if (arg == "--analyze-strict") {
-            options.set("analyze", Json::boolean(true));
-            options.set("analyze_strict", Json::boolean(true));
-        } else if (arg == "--ordering-checks") {
-            options.set("ordering_checks", Json::boolean(true));
-        } else if (arg == "--strict") {
-            options.set("strict", Json::boolean(true));
-        } else if (arg == "--no-verify") {
-            options.set("verify", Json::boolean(false));
-        } else if (arg == "--dump-cfg") {
-            options.set("cfg", Json::boolean(true));
-        } else if (arg == "--dump-graph") {
-            options.set("graph", Json::boolean(true));
-        } else if (arg == "--dot") {
-            options.set("dot", Json::boolean(true));
-        } else if (arg == "--label" && i + 1 < argc) {
-            label = argv[++i];
-        } else if (arg == "--json") {
-            rawJson = true;
-        } else {
-            return usage();
-        }
-    }
-
-    std::string source;
-    if (!readSource(file, &source)) {
-        std::cerr << "cash: cannot read " << file << "\n";
-        return 2;
-    }
-    if (label.empty() && file != "-")
-        label = file;
-
-    Json req = makeCompileRequest(cmd, source, std::move(options),
-                                  label);
     Json resp;
-    st = client.call(std::move(req), &resp);
-    if (!st) {
-        std::cerr << "cash: " << st.message() << "\n";
-        return 3;
-    }
+    st = client.call(
+        makeCompileRequest(cmd, source, svcRequestOptions(req), label),
+        &resp);
+    if (!st)
+        return transportError(st);
     if (!resp.getBool("ok")) {
         const Json* err = resp.get("error");
         std::cerr << "cash: request rejected ("
@@ -344,5 +231,5 @@ main(int argc, char** argv)
         std::cout << body->dump() << "\n";
         return static_cast<int>(body->getInt("exit", 1));
     }
-    return renderBody(*body);
+    return renderResultBody(*body, "cash", std::cout, std::cerr);
 }

@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <ostream>
+#include <utility>
 
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -149,6 +151,18 @@ badRequest(const std::string& msg)
     return Status::error(ErrorCode::ParseError, msg);
 }
 
+/** The boolean request options: wire key → DriverRequest field. */
+const std::pair<const char*, bool DriverRequest::*> kBoolOptions[] = {
+    {"verify", &DriverRequest::verify},
+    {"ordering_checks", &DriverRequest::orderingChecks},
+    {"strict", &DriverRequest::strict},
+    {"analyze", &DriverRequest::analyze},
+    {"analyze_strict", &DriverRequest::analyzeStrict},
+    {"cfg", &DriverRequest::wantCfg},
+    {"graph", &DriverRequest::wantGraphText},
+    {"dot", &DriverRequest::wantDot},
+};
+
 Status
 parseStringList(const Json& opts, const char* key,
                 std::vector<std::string>* out)
@@ -218,75 +232,50 @@ parseSvcRequest(const Json& j, SvcRequest* out)
     static const Json kEmpty = Json::object();
     const Json& opts = optsv ? *optsv : kEmpty;
 
-    if (const Json* v = opts.get("opt")) {
-        if (!v->isString())
-            return badRequest("options.opt must be a string");
-        Status st = out->driver.target.setField("opt", v->asString());
-        if (!st)
-            return badRequest(st.message());
+    DriverRequest& d = out->driver;
+    // One target field from a JSON string; @p where names it in
+    // errors, @p prefix goes in front of a bad value's message.
+    auto setTargetField = [&](const char* key, const Json& v,
+                              const std::string& where,
+                              const std::string& prefix) {
+        if (!v.isString())
+            return badRequest(where + key + " must be a string");
+        Status st = d.target.setField(key, v.asString());
+        return st ? st : badRequest(prefix + st.message());
+    };
+    // Legacy per-field target keys; options.target (below) wins.
+    for (const char* key : {"opt", "mem", "engine"}) {
+        if (const Json* v = opts.get(key)) {
+            Status ts = setTargetField(key, *v, "options.", "");
+            if (!ts)
+                return ts;
+        }
     }
-    Status st = parseStringList(opts, "passes", &out->driver.passNames);
+    Status st = parseStringList(opts, "passes", &d.passNames);
     if (!st)
         return st;
     if (const Json* v = opts.get("jobs")) {
         if (!v->isNumber())
             return badRequest("options.jobs must be a number");
-        out->driver.jobs = static_cast<int>(v->asInt());
+        d.jobs = static_cast<int>(v->asInt());
     }
-    if (const Json* v = opts.get("verify")) {
-        if (!v->isBool())
-            return badRequest("options.verify must be a boolean");
-        out->driver.verify = v->asBool();
+    for (const auto& [key, field] : kBoolOptions) {
+        if (const Json* v = opts.get(key)) {
+            if (!v->isBool())
+                return badRequest(std::string("options.") + key +
+                                  " must be a boolean");
+            d.*field = v->asBool();
+        }
     }
-    if (const Json* v = opts.get("ordering_checks")) {
-        if (!v->isBool())
-            return badRequest(
-                "options.ordering_checks must be a boolean");
-        out->driver.orderingChecks = v->asBool();
-    }
-    if (const Json* v = opts.get("strict")) {
-        if (!v->isBool())
-            return badRequest("options.strict must be a boolean");
-        out->driver.strict = v->asBool();
-    }
-    if (const Json* v = opts.get("analyze")) {
-        if (!v->isBool())
-            return badRequest("options.analyze must be a boolean");
-        out->driver.analyze = v->asBool();
-    }
-    if (const Json* v = opts.get("analyze_strict")) {
-        if (!v->isBool())
-            return badRequest(
-                "options.analyze_strict must be a boolean");
-        out->driver.analyzeStrict = v->asBool();
-        if (v->asBool())
-            out->driver.analyze = true;
-    }
-    st = parseStringList(opts, "analyze_rules",
-                         &out->driver.analyzeRules);
+    st = parseStringList(opts, "analyze_rules", &d.analyzeRules);
     if (!st)
         return st;
-    if (!out->driver.analyzeRules.empty())
-        out->driver.analyze = true;
+    if (d.analyzeStrict || !d.analyzeRules.empty())
+        d.analyze = true;
     if (const Json* v = opts.get("run")) {
         if (!v->isString())
             return badRequest("options.run must be a string");
-        out->driver.runSpec = v->asString();
-    }
-    if (const Json* v = opts.get("mem")) {
-        if (!v->isString())
-            return badRequest("options.mem must be a string");
-        Status ms = out->driver.target.setField("mem", v->asString());
-        if (!ms)
-            return badRequest(ms.message());
-    }
-    if (const Json* v = opts.get("engine")) {
-        if (!v->isString())
-            return badRequest("options.engine must be a string");
-        Status es =
-            out->driver.target.setField("engine", v->asString());
-        if (!es)
-            return badRequest(es.message());
+        d.runSpec = v->asString();
     }
     // options.target: the unified TargetSpec (docs/SCHEMAS.md) —
     // either the canonical spec string or an object with per-field
@@ -295,7 +284,7 @@ parseSvcRequest(const Json& j, SvcRequest* out)
     // fields win (field-level last-setting-wins, like the CLI).
     if (const Json* v = opts.get("target")) {
         if (v->isString()) {
-            Status ts = out->driver.target.merge(v->asString());
+            Status ts = d.target.merge(v->asString());
             if (!ts)
                 return badRequest("options.target: " + ts.message());
         } else if (v->isObject()) {
@@ -304,15 +293,10 @@ parseSvcRequest(const Json& j, SvcRequest* out)
                 const Json* f = v->get(key);
                 if (!f)
                     continue;
-                if (!f->isString())
-                    return badRequest("options.target." +
-                                      std::string(key) +
-                                      " must be a string");
-                Status ts =
-                    out->driver.target.setField(key, f->asString());
+                Status ts = setTargetField(key, *f, "options.target.",
+                                           "options.target: ");
                 if (!ts)
-                    return badRequest("options.target: " +
-                                      ts.message());
+                    return ts;
             }
         } else {
             return badRequest(
@@ -323,36 +307,42 @@ parseSvcRequest(const Json& j, SvcRequest* out)
         if (!v->isNumber() || v->asInt() < 0)
             return badRequest(
                 "options.max_events must be a non-negative number");
-        out->driver.maxEvents = static_cast<uint64_t>(v->asInt());
-    }
-    if (const Json* v = opts.get("cfg")) {
-        if (!v->isBool())
-            return badRequest("options.cfg must be a boolean");
-        out->driver.wantCfg = v->asBool();
-    }
-    if (const Json* v = opts.get("graph")) {
-        if (!v->isBool())
-            return badRequest("options.graph must be a boolean");
-        out->driver.wantGraphText = v->asBool();
-    }
-    if (const Json* v = opts.get("dot")) {
-        if (!v->isBool())
-            return badRequest("options.dot must be a boolean");
-        out->driver.wantDot = v->asBool();
+        d.maxEvents = static_cast<uint64_t>(v->asInt());
     }
 
     if (out->op == SvcOp::Analyze)
-        out->driver.analyze = true;
-    if (out->op == SvcOp::Simulate && out->driver.runSpec.empty())
+        d.analyze = true;
+    if (out->op == SvcOp::Simulate && d.runSpec.empty())
         return badRequest("op 'simulate' requires options.run");
-    if (!out->driver.runSpec.empty()) {
+    if (!d.runSpec.empty()) {
         std::string fn;
         std::vector<uint32_t> args;
-        Status rs = parseRunSpec(out->driver.runSpec, &fn, &args);
+        Status rs = parseRunSpec(d.runSpec, &fn, &args);
         if (!rs)
             return badRequest(rs.message());
     }
     return Status::ok();
+}
+
+Json
+svcRequestOptions(const DriverRequest& req)
+{
+    auto list = [](const std::vector<std::string>& items) {
+        Json arr = Json::array();
+        for (const std::string& s : items)
+            arr.push(Json::string(s));
+        return arr;
+    };
+    Json o = Json::object();
+    o.set("target", Json::string(req.target.str()));
+    o.set("passes", list(req.passNames));
+    o.set("jobs", Json::number(int64_t{req.jobs}));
+    for (const auto& [key, field] : kBoolOptions)
+        o.set(key, Json::boolean(req.*field));
+    o.set("analyze_rules", list(req.analyzeRules));
+    o.set("run", Json::string(req.runSpec));
+    o.set("max_events", Json::number(static_cast<int64_t>(req.maxEvents)));
+    return o;
 }
 
 // ---------------------------------------------------------------------
@@ -420,20 +410,12 @@ svcResultBody(const SvcRequest& req, const DriverReply& rep)
 {
     const std::string digest = fnv1a64Hex(svcCacheKey(req));
 
-    StatsJsonMeta meta;
     // The cached body must not depend on the requester: label the
     // stats document with the content address, not the client's name.
-    meta.file = "svc:" + digest;
-    meta.run = req.driver.runSpec;
-    meta.mem = req.driver.target.mem;
-    meta.level = req.driver.target.level;
-    if (!req.driver.target.fabric.trivial() ||
-        !req.driver.target.interproc)
-        meta.target = req.driver.target.str();
-
     Json statsDoc;
     Status st = Json::parse(
-        statsJsonDocument(rep, meta, /*deterministic=*/true),
+        statsJsonDocument(rep, statsJsonMeta(req.driver, "svc:" + digest),
+                          /*deterministic=*/true),
         &statsDoc);
     CASH_ASSERT(st.isOk(), "stats document must be valid JSON");
 
@@ -473,6 +455,102 @@ svcResultBody(const SvcRequest& req, const DriverReply& rep)
     if (req.driver.wantDot)
         body.set("dot", Json::string(rep.dot));
     return body.dump();
+}
+
+namespace {
+
+/** Inverse of @p nameOf over the enum values [0, @p last]. */
+template <typename E>
+E
+enumFromName(const std::string& name, E last, const char* (*nameOf)(E))
+{
+    for (int v = 0; v < static_cast<int>(last); v++)
+        if (name == nameOf(static_cast<E>(v)))
+            return static_cast<E>(v);
+    return last;
+}
+
+} // namespace
+
+int
+renderResultBody(const Json& body, const std::string& tool,
+                 std::ostream& out, std::ostream& err)
+{
+    static const Json kEmpty = Json::object();
+    const std::string prefix = tool + ": ";
+    const Json* statsv = body.get("stats");
+    const Json& stats = statsv ? *statsv : kEmpty;
+
+    if (const Json* fatal = body.get("fatal"))
+        err << prefix << fatal->asString() << "\n";
+    // Structs decoded back from the stats document, so the line
+    // formats stay PassFailure::str() and LintFinding::str().
+    if (const Json* diags = stats.get("diagnostics")) {
+        for (const Json& d : diags->items()) {
+            PassFailure f;
+            f.function = d.getString("function");
+            f.pass = d.getString("pass");
+            f.round = static_cast<int>(d.getInt("round"));
+            f.code = enumFromName(d.getString("code"),
+                                  ErrorCode::InternalError,
+                                  errorCodeName);
+            f.message = d.getString("message");
+            err << prefix << f.str() << "\n";
+        }
+        if (!diags->items().empty())
+            err << prefix << diags->items().size()
+                << " pass failure(s) rolled back; output may be"
+                   " less optimized\n";
+    }
+
+    for (const char* artifact : {"cfg", "graph", "dot"})
+        if (const Json* text = body.get(artifact))
+            out << text->asString();
+
+    if (const Json* analysis = body.get("analysis")) {
+        const Json* sa = stats.get("analysis");
+        const Json* findings = sa ? sa->get("findings") : nullptr;
+        static const std::vector<Json> kNone;
+        for (const Json& j : findings ? findings->items() : kNone) {
+            LintFinding f;
+            f.rule = j.getString("rule");
+            f.severity = enumFromName(j.getString("severity"),
+                                      LintSeverity::Error,
+                                      lintSeverityName);
+            f.func = j.getString("function");
+            f.nodeA = static_cast<int>(j.getInt("nodeA", -1));
+            f.nodeB = static_cast<int>(j.getInt("nodeB", -1));
+            f.location = j.getString("location");
+            f.explanation = j.getString("explanation");
+            out << f.str() << "\n";
+        }
+        err << prefix << "analysis: " << analysis->getInt("errors")
+            << " error(s), " << analysis->getInt("warnings")
+            << " warning(s), " << analysis->getInt("infos")
+            << " info(s)\n";
+        if (analysis->getBool("blocked_run"))
+            err << prefix
+                << "--analyze-strict: error findings; skipping"
+                   " simulation\n";
+    }
+
+    if (const Json* sim = body.get("sim")) {
+        const std::string outcome = sim->getString("outcome");
+        if (outcome == "ok") {
+            const Json* meta = stats.get("meta");
+            const std::string run = meta ? meta->getString("run") : "";
+            out << run.substr(0, run.find('(')) << " returned "
+                << sim->getInt("return") << " in "
+                << sim->getInt("cycles") << " cycles ("
+                << sim->getString("mem") << " memory)\n";
+        } else {
+            err << prefix << "simulation failed (" << outcome
+                << "): " << sim->getString("error") << "\n";
+            if (const Json* dl = sim->get("deadlock"))
+                err << dl->asString() << "\n";
+        }
+    }
+    return static_cast<int>(body.getInt("exit", 1));
 }
 
 std::string

@@ -16,13 +16,15 @@
  *     unboundedly;
  *   * **requests** — parseSvcRequest() validates a decoded JSON
  *     request into an SvcRequest (op + DriverRequest payload),
- *     returning structured errors for anything malformed;
+ *     returning structured errors for anything malformed, and
+ *     svcRequestOptions() is its inverse for the client side;
  *   * **responses** — deterministic response builders.  The result
  *     *body* of a compile-family response is built separately
  *     (svcResultBody) from the envelope (svcResponse) because the
  *     body is the unit the result cache stores: a cache hit replays
  *     the body bytes verbatim, so cached and uncached responses are
  *     byte-identical except for the envelope's "cached" flag.
+ *     renderResultBody() is the one human rendering of a body.
  *
  * Nothing here does any threading or socket setup; see server.h.
  */
@@ -30,6 +32,7 @@
 #define CASH_SERVICE_PROTOCOL_H
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "driver/driver_lib.h"
@@ -110,6 +113,15 @@ struct SvcRequest
  */
 Status parseSvcRequest(const Json& j, SvcRequest* out);
 
+/**
+ * The `options` object of a compile-family request for @p req — the
+ * exact inverse of parseSvcRequest's options decoding: every field
+ * the wire carries survives the round trip, the target as its
+ * canonical TargetSpec::str().  Fields the wire does not carry (fault
+ * plan, tracer, wall budget, summaries) are dropped.
+ */
+Json svcRequestOptions(const DriverRequest& req);
+
 // ---------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------
@@ -136,6 +148,16 @@ std::string svcCacheKey(const SvcRequest& req);
  * any requested artifacts.  This is the cached unit.
  */
 std::string svcResultBody(const SvcRequest& req, const DriverReply& rep);
+
+/**
+ * Print compile-family result @p body for a person, the one way both
+ * `cashc` and `cash` do: artifacts, findings and the run line on
+ * @p out; fatal errors, pass failures, the analysis summary and
+ * simulation failures on @p err, each prefixed "<tool>: ".  Returns
+ * the body's exit code.
+ */
+int renderResultBody(const Json& body, const std::string& tool,
+                     std::ostream& out, std::ostream& err);
 
 /** Envelope + body → one response frame payload. */
 std::string svcResponse(const SvcRequest& req, bool cached,

@@ -149,11 +149,14 @@ Json::dump() const
         return buf;
       }
       case Kind::String:
-        return "\"" + jsonEscape(str_) + "\"";
+        return '"' + jsonEscape(str_).append("\"");
       case Kind::Array: {
         std::string out = "[";
-        for (size_t i = 0; i < items_.size(); i++)
-            out += (i ? "," : "") + items_[i].dump();
+        for (size_t i = 0; i < items_.size(); i++) {
+            if (i)
+                out += ',';
+            out += items_[i].dump();
+        }
         return out + "]";
       }
       case Kind::Object: {

@@ -61,8 +61,9 @@ TEST(Builder, IfJoinMakesDecodedMux)
     EXPECT_GE(count(*g, NodeKind::Mux), 1);
     // Decoded mux: even arity, pred/data pairs.
     g->forEach([&](Node* n) {
-        if (n->kind == NodeKind::Mux)
+        if (n->kind == NodeKind::Mux) {
             EXPECT_EQ(n->numInputs() % 2, 0);
+        }
     });
 }
 
@@ -82,8 +83,9 @@ TEST(Builder, LoopMakesMergeEtaRing)
         for (int i = 0; i < n->numInputs(); i++)
             if (i != n->deciderIndex && n->inputIsBackEdge(i))
                 back = true;
-        if (back)
+        if (back) {
             EXPECT_GE(n->deciderIndex, 0) << n->str();
+        }
     });
 }
 
@@ -96,8 +98,9 @@ TEST(Builder, MemoryOpsHavePredTokenInputs)
             EXPECT_EQ(n->input(1).node->outputType(n->input(1).port),
                       VT::Token);
         }
-        if (n->kind == NodeKind::Store)
+        if (n->kind == NodeKind::Store) {
             EXPECT_EQ(n->numInputs(), 4);
+        }
     });
 }
 

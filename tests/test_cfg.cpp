@@ -135,10 +135,12 @@ TEST(CfgLower, CharAccessesAreByteSized)
     CfgFunction* fn = l.cfg->find("f");
     for (const auto& b : fn->blocks) {
         for (const Instr& ins : b->instrs) {
-            if (ins.kind == InstrKind::Load)
+            if (ins.kind == InstrKind::Load) {
                 EXPECT_EQ(ins.size, 1);
-            if (ins.kind == InstrKind::Store)
+            }
+            if (ins.kind == InstrKind::Store) {
                 EXPECT_EQ(ins.size, 1);
+            }
         }
     }
 }
@@ -147,10 +149,13 @@ TEST(CfgLower, GlobalAddressesAreConstants)
 {
     Lowered l = lower("int g; int f(void) { return g; }");
     CfgFunction* fn = l.cfg->find("f");
-    for (const auto& b : fn->blocks)
-        for (const Instr& ins : b->instrs)
-            if (ins.kind == InstrKind::Load)
+    for (const auto& b : fn->blocks) {
+        for (const Instr& ins : b->instrs) {
+            if (ins.kind == InstrKind::Load) {
                 EXPECT_TRUE(ins.addr.isConst());
+            }
+        }
+    }
 }
 
 TEST(CfgLower, FrameLocalsUseFrameBase)

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "service/protocol.h"
 #include "service/server.h"
 #include "support/json.h"
+#include "support/strings.h"
 
 using namespace cash;
 
@@ -209,6 +211,28 @@ TEST(SvcProtocol, RequestValidation)
     // Unknown extra fields are ignored (forward compatibility).
     ASSERT_TRUE(parse(
         R"({"op":"ping","future_field":{"x":1}})", &req).isOk());
+
+    // The legacy per-field keys, the target object and the target
+    // string all name the same target, hence the same cache key.
+    std::string keys[3];
+    const char* forms[3] = {
+        R"("opt":"1","mem":"perfect","engine":"event")",
+        R"("target":{"opt":"medium","mem":"perfect","engine":"event"})",
+        R"("target":"opt=O1,mem=perfect,engine=event")"};
+    for (int i = 0; i < 3; i++) {
+        ASSERT_TRUE(parse(std::string(R"({"op":"compile","source":"x",)") +
+                              R"("options":{)" + forms[i] + "}}",
+                          &req)
+                        .isOk())
+            << forms[i];
+        keys[i] = svcCacheKey(req);
+    }
+    EXPECT_EQ(keys[0], keys[1]);
+    EXPECT_EQ(keys[0], keys[2]);
+    Status typed = parse(R"({"op":"compile","source":"x",)"
+                         R"("options":{"target":{"fabric":4}}})",
+                         &req);
+    EXPECT_EQ(typed.message(), "options.target.fabric must be a string");
 }
 
 TEST(SvcCache, LruAndByteCaps)
@@ -266,6 +290,143 @@ const char* kProgC =
     "    for (j = 0; j < i; j++) s = s + 1;\n"
     "  return s;\n"
     "}\n";
+
+/** Parse @p args with the shared request-flag grammar. */
+RequestFlag
+parseFlags(std::vector<std::string> args, DriverRequest* req,
+           std::string* error)
+{
+    std::vector<char*> argv;
+    for (std::string& a : args)
+        argv.push_back(a.data());
+    const int argc = static_cast<int>(argv.size());
+    for (int i = 0; i < argc; i++) {
+        RequestFlag r = parseRequestFlag(argc, argv.data(), &i, req, error);
+        if (r != RequestFlag::Consumed)
+            return r;
+    }
+    return RequestFlag::Consumed;
+}
+
+TEST(SvcProtocol, RequestOptionsRoundTripEveryFlag)
+{
+    const std::vector<std::vector<std::string>> matrix = {
+        {},
+        {"--target", "opt=none"},
+        {"--target=opt=medium,mem=perfect,engine=event"},
+        {"--target", "ipo=off"},
+        {"--target", "fabric=4x4:hop2", "--target", "mem=real4"},
+        {"--passes", "dead_code,scalar_opts"},
+        {"--passes=transitive_reduction"},
+        {"--run", "run(64)"},
+        {"--run=f(1,-2)", "--max-events", "123456"},
+        {"--max-events=7"},
+        {"--strict"},
+        {"--verify-each-pass"},
+        {"--no-verify"},
+        {"--verify-each-pass", "--no-verify"},
+        {"--analyze"},
+        {"--analyze=ordering_soundness,dead_token_sink"},
+        {"--analyze-strict"},
+        {"--dump-cfg", "--dump-graph", "--dot"},
+        {"--target", "opt=full,ipo=off,fabric=2x2", "--passes=dead_code",
+         "--run", "g()", "--max-events", "9", "--strict",
+         "--verify-each-pass", "--analyze=unprovable_pragma",
+         "--analyze-strict", "--dump-cfg", "--dot"},
+    };
+    for (const auto& args : matrix) {
+        SCOPED_TRACE(join(args, " "));
+        SvcRequest orig;
+        orig.op = SvcOp::Compile;
+        orig.driver.source = kProgA;
+        std::string error;
+        ASSERT_EQ(parseFlags(args, &orig.driver, &error),
+                  RequestFlag::Consumed)
+            << error;
+
+        Json wire;
+        ASSERT_TRUE(Json::parse(makeCompileRequest(
+                                    "compile", kProgA,
+                                    svcRequestOptions(orig.driver))
+                                    .dump(),
+                                &wire)
+                        .isOk());
+        SvcRequest back;
+        ASSERT_TRUE(parseSvcRequest(wire, &back).isOk());
+        EXPECT_EQ(svcCacheKey(back), svcCacheKey(orig));
+    }
+
+    // jobs travels too, although it is not part of the key.
+    DriverRequest j;
+    j.jobs = 3;
+    SvcRequest back;
+    ASSERT_TRUE(parseSvcRequest(
+                    makeCompileRequest("compile", kProgA,
+                                       svcRequestOptions(j)),
+                    &back)
+                    .isOk());
+    EXPECT_EQ(back.driver.jobs, 3);
+}
+
+TEST(SvcProtocol, RequestFlagGrammarRejectsRetiredAndBadFlags)
+{
+    // The deprecated target aliases are gone: --target is the only
+    // spelling, so they are left to the front end, which rejects them.
+    for (std::vector<std::string> args :
+         std::vector<std::vector<std::string>>{
+             {"-O", "full"}, {"-O3"}, {"--mem", "perfect"},
+             {"--engine", "event"}, {"--engine=event"},
+             {"--fabric", "2x2"}, {"--fabric=2x2"},
+             {"--ordering-checks"}}) {
+        DriverRequest req;
+        std::string error;
+        EXPECT_EQ(parseFlags(args, &req, &error), RequestFlag::NotMine)
+            << args[0];
+    }
+    for (std::vector<std::string> args :
+         std::vector<std::vector<std::string>>{
+             {"--target", "fabric=0x9"}, {"--target=ipo=maybe"},
+             {"--run"}, {"--run", "f(1"}, {"--max-events", "-3"},
+             {"--max-events=lots"}}) {
+        DriverRequest req;
+        std::string error;
+        EXPECT_EQ(parseFlags(args, &req, &error), RequestFlag::Bad)
+            << args[0];
+        EXPECT_FALSE(error.empty());
+    }
+}
+
+TEST(SvcProtocol, RenderResultBodyPrintsTheCashcLines)
+{
+    SvcRequest req;
+    req.op = SvcOp::Compile;
+    req.driver.source = kProgA;
+    req.driver.runSpec = "suma(10)";
+    req.driver.analyze = true;
+    req.driver.target.memSystem("perfect");
+    Json body;
+    ASSERT_TRUE(Json::parse(svcResultBody(req, runDriverRequest(req.driver)),
+                            &body)
+                    .isOk());
+    std::ostringstream out, err;
+    EXPECT_EQ(renderResultBody(body, "tool", out, err), 0);
+    EXPECT_EQ(out.str().rfind("suma returned 45 in ", 0), 0u) << out.str();
+    EXPECT_NE(out.str().find(" cycles (perfect memory)\n"),
+              std::string::npos);
+    EXPECT_EQ(err.str(),
+              "tool: analysis: 0 error(s), 0 warning(s), 0 info(s)\n");
+
+    req.driver.runSpec = "nosuch(1)";
+    ASSERT_TRUE(Json::parse(svcResultBody(req, runDriverRequest(req.driver)),
+                            &body)
+                    .isOk());
+    std::ostringstream out2, err2;
+    EXPECT_EQ(renderResultBody(body, "tool", out2, err2), 1);
+    EXPECT_EQ(out2.str(), "");
+    EXPECT_NE(err2.str().find("tool: simulation failed (missing_graph): "),
+              std::string::npos)
+        << err2.str();
+}
 
 std::string
 testSocketPath(const std::string& tag)

@@ -33,7 +33,7 @@ class ProgramGen
         vars_ = {"p0", "p1"};
         int nv = 2 + pick(3);
         for (int i = 0; i < nv; i++) {
-            std::string v = "v" + std::to_string(i);
+            std::string v = std::string("v").append(std::to_string(i));
             os << "  int " << v << " = " << expr(2) << ";\n";
             vars_.push_back(v);
         }

@@ -149,8 +149,9 @@ TEST(TargetSpec, ParseAndRoundTrip)
 
 TEST(TargetSpec, OptLevelAliasesAgree)
 {
-    // The deprecated -O flags and the canonical names resolve to the
-    // same level, and therefore the same canonical string.
+    // The numeric and O-prefixed level spellings and the canonical
+    // names resolve to the same level, and therefore the same
+    // canonical string.
     for (const char* alias : {"full", "2", "3", "O2", "O3"}) {
         TargetSpec t;
         ASSERT_TRUE(t.setField("opt", alias).isOk()) << alias;

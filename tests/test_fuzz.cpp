@@ -279,7 +279,8 @@ TEST(FuzzRegressions, TokenRemovalSeedsRingWithInheritedOrder)
     }
 }
 
-// Minimized from seed 3046 (oracle A, -O0 vs -O3 return divergence).
+// Minimized from seed 3046 (oracle A, opt=none vs opt=full return
+// divergence).
 // memory_merge folds the branch stores into one predicated store, so
 // the final load of s0 sees two *sequential* forwarding stores:
 // s0 |= 1 (predicate: function entry) then s0 &= 1 (predicate: then-

@@ -143,9 +143,11 @@ TEST(Layout, ConstFlagPropagates)
 TEST(Layout, GlobalTopCoversAllObjects)
 {
     Built b = build("int a[100]; char c[33]; int z;");
-    for (const MemObject& o : b.layout.objects())
-        if (o.isGlobal)
+    for (const MemObject& o : b.layout.objects()) {
+        if (o.isGlobal) {
             EXPECT_LE(o.address + o.size, b.layout.globalTop());
+        }
+    }
 }
 
 } // namespace

@@ -206,11 +206,15 @@ TEST(ModRef, IpoOffComputesButDoesNotStamp)
     ASSERT_TRUE(r.summaries);
     EXPECT_FALSE(functionSummary(r, "scale").ref.isTop());
     // ...but no call carries optimizer-consumable stamps.
-    for (const auto& fn : r.cfg->functions)
-        for (const auto& b : fn->blocks)
-            for (const Instr& i : b->instrs)
-                if (i.kind == InstrKind::Call)
+    for (const auto& fn : r.cfg->functions) {
+        for (const auto& b : fn->blocks) {
+            for (const Instr& i : b->instrs) {
+                if (i.kind == InstrKind::Call) {
                     EXPECT_FALSE(i.callEffectsValid);
+                }
+            }
+        }
+    }
 }
 
 TEST(ModRef, DumpAndJsonRenderings)

