@@ -16,6 +16,13 @@
  *   - "wide": one synthetic translation unit with many independent
  *     loop-nest functions (the one-big-file shape that actually
  *     exercises per-function parallelism inside a single compile).
+ *
+ * Each -j1 row also reports `manager_share`: the share of
+ * `time.optimize.us` spent outside pass bodies (the `opt.pass.*.time_us`
+ * counters) — pass-manager overhead, verification included.  Being a
+ * ratio of two times measured in one process, it compares across
+ * machines, and meta `manager_share_j1` (wide and suite together) is
+ * what CI gates against bench/baselines/BENCH_compile_throughput.json.
  */
 #include <chrono>
 
@@ -71,6 +78,28 @@ struct Measurement
     int64_t functions = 0;   ///< Functions optimized over all reps.
     double wallUs = 0;
     std::string fingerprint; ///< Determinism cross-check.
+    int64_t optimizeUs = 0;  ///< Sum of time.optimize.us.
+    int64_t passBodyUs = 0;  ///< Sum of opt.pass.*.time_us.
+
+    void
+    addTimes(const StatSet& stats)
+    {
+        optimizeUs += stats.get("time.optimize.us");
+        for (const auto& [k, v] : stats.all())
+            if (k.rfind("opt.pass.", 0) == 0 && k.size() > 8 &&
+                k.compare(k.size() - 8, 8, ".time_us") == 0)
+                passBodyUs += v;
+    }
+
+    /** Share of optimize time outside pass bodies; 0 when unmeasured. */
+    double
+    managerShare() const
+    {
+        return optimizeUs > 0
+                   ? static_cast<double>(optimizeUs - passBodyUs) /
+                         static_cast<double>(optimizeUs)
+                   : 0;
+    }
 };
 
 Measurement
@@ -82,6 +111,7 @@ measureWide(const std::string& src, int jobs, int reps)
         CompileResult r = compileSource(
             src, CompileOptions().opt(OptLevel::Full).jobs(jobs));
         m.functions += static_cast<int64_t>(r.graphs.size());
+        m.addTimes(r.stats);
         if (rep == 0)
             m.fingerprint = statsFingerprint(r.stats);
     }
@@ -103,6 +133,7 @@ measureSuite(int jobs, int reps)
                 k.source,
                 CompileOptions().opt(OptLevel::Full).jobs(jobs));
             m.functions += static_cast<int64_t>(r.graphs.size());
+            m.addTimes(r.stats);
             if (rep == 0)
                 m.fingerprint += statsFingerprint(r.stats);
         }
@@ -122,16 +153,20 @@ reportRows(benchutil::BenchReport& report, const std::string& workload,
                               m.wallUs
                         : 0;
     double speedup = m.wallUs > 0 ? baselineUs / m.wallUs : 0;
+    // Pass bodies of concurrent workers overlap in wall time: the
+    // share only means something serially.
+    double share = jobs == 1 ? m.managerShare() : 0;
     report.addRow({{"workload", workload},
                    {"jobs", jobs},
                    {"functions", m.functions},
                    {"wall_us", static_cast<int64_t>(m.wallUs)},
                    {"funcs_per_sec", perSec},
-                   {"speedup_vs_j1", speedup}});
-    std::printf("%-8s %5d %10lld %12.0f %14.0f %10.2fx\n",
+                   {"speedup_vs_j1", speedup},
+                   {"manager_share", share}});
+    std::printf("%-8s %5d %10lld %12.0f %14.0f %10.2fx %9.3f\n",
                 workload.c_str(), jobs,
                 static_cast<long long>(m.functions), m.wallUs, perSec,
-                speedup);
+                speedup, share);
 }
 
 } // namespace
@@ -156,9 +191,9 @@ main()
     std::printf("(%d hardware threads; wide = one %d-function unit, "
                 "suite = Table-2 kernels)\n\n",
                 hw, wideFuncs);
-    std::printf("%-8s %5s %10s %12s %14s %11s\n", "workload", "jobs",
-                "functions", "wall_us", "funcs/sec", "speedup");
-    benchutil::rule(66);
+    std::printf("%-8s %5s %10s %12s %14s %11s %9s\n", "workload", "jobs",
+                "functions", "wall_us", "funcs/sec", "speedup", "mgr_share");
+    benchutil::rule(76);
 
     benchutil::BenchReport report("compile_throughput");
     report.meta("hardware_threads", hw);
@@ -172,11 +207,14 @@ main()
 
     std::string wantWide, wantSuite;
     double baseWideUs = 0, baseSuiteUs = 0;
+    Measurement serial;  ///< The -j1 optimize and pass-body times.
     for (int jobs : jobCounts) {
         Measurement mw = measureWide(wide, jobs, wideReps);
         if (jobs == 1) {
             baseWideUs = mw.wallUs;
             wantWide = mw.fingerprint;
+            serial.optimizeUs += mw.optimizeUs;
+            serial.passBodyUs += mw.passBodyUs;
         } else if (mw.fingerprint != wantWide) {
             std::fprintf(stderr,
                          "bench: -j%d wide compile diverged from -j1\n",
@@ -190,6 +228,8 @@ main()
         if (jobs == 1) {
             baseSuiteUs = ms.wallUs;
             wantSuite = ms.fingerprint;
+            serial.optimizeUs += ms.optimizeUs;
+            serial.passBodyUs += ms.passBodyUs;
         } else if (ms.fingerprint != wantSuite) {
             std::fprintf(stderr,
                          "bench: -j%d suite compile diverged from -j1\n",
@@ -199,6 +239,9 @@ main()
         reportRows(report, "suite", jobs, ms, baseSuiteUs);
     }
 
+    report.meta("manager_share_j1", serial.managerShare());
+    std::printf("\npass-manager share of -j1 optimize time: %.3f\n",
+                serial.managerShare());
     report.write();
     return 0;
 }

@@ -48,7 +48,10 @@ interCallTokenEdges(const CompileResult& r)
 {
     int64_t edges = 0;
     for (const auto& g : r.graphs) {
-        OrderingChecker checker(*g, &r.cfg->oracle, r.layout.get());
+        // Closure queries only: no call effect is resolved, so the
+        // checker needs no interprocedural model.
+        OrderingChecker checker(*g, &r.cfg->oracle, r.layout.get(),
+                                /*interproc=*/nullptr);
         for (const Node* a : checker.sideEffects())
             for (const Node* b : checker.sideEffects()) {
                 if (a == b || a->kind != NodeKind::Call ||

@@ -69,38 +69,6 @@ nodeDesc(const Node* n)
            std::to_string(n->id);
 }
 
-/**
- * The non-Combine producers feeding @p n's token input (walking
- * through Combine chains only), node-id sorted.  Kept local so the
- * lint layer stays independent of the opt/ helpers it audits.
- */
-std::vector<const Node*>
-tokenSourceNodes(const Node* n)
-{
-    std::vector<const Node*> out;
-    int ti = n->tokenInIndex();
-    if (ti < 0 || ti >= n->numInputs() || !n->input(ti).valid())
-        return out;
-    std::vector<const Node*> work{n->input(ti).node};
-    std::set<const Node*> seen;
-    while (!work.empty()) {
-        const Node* cur = work.back();
-        work.pop_back();
-        if (!seen.insert(cur).second)
-            continue;
-        if (cur->kind == NodeKind::Combine) {
-            for (int i = 0; i < cur->numInputs(); i++)
-                if (cur->input(i).valid())
-                    work.push_back(cur->input(i).node);
-        } else {
-            out.push_back(cur);
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const Node* a, const Node* b) { return a->id < b->id; });
-    return out;
-}
-
 // ---------------------------------------------------------------------
 // Rules
 // ---------------------------------------------------------------------
@@ -119,12 +87,10 @@ class OrderingSoundnessRule : public LintRule
     }
 
     void
-    run(const Graph& g, const LintContext& ctx,
+    run(const LintGraph& lg, const LintContext&,
         std::vector<LintFinding>& out) const override
     {
-        OrderingChecker checker(g, ctx.oracle, ctx.layout,
-                                ctx.interproc);
-        checker.check(out);
+        lg.checker().check(out);
     }
 };
 
@@ -142,14 +108,16 @@ class RedundantTokenEdgeRule : public LintRule
     }
 
     void
-    run(const Graph& g, const LintContext& ctx,
+    run(const LintGraph& lg, const LintContext&,
         std::vector<LintFinding>& out) const override
     {
-        OrderingChecker checker(g, ctx.oracle, ctx.layout);
+        const Graph& g = lg.graph();
+        const OrderingChecker& checker = lg.checker();
         for (const Node* n : checker.tokenNodes()) {
             if (n->tokenInIndex() < 0)
                 continue;
-            std::vector<const Node*> sources = tokenSourceNodes(n);
+            std::vector<const Node*> sources =
+                OrderingChecker::orderingSources(n);
             if (sources.size() < 2)
                 continue;
             for (const Node* u : sources) {
@@ -197,10 +165,11 @@ class DeadTokenSinkRule : public LintRule
     }
 
     void
-    run(const Graph& g, const LintContext& ctx,
+    run(const LintGraph& lg, const LintContext&,
         std::vector<LintFinding>& out) const override
     {
-        OrderingChecker checker(g, ctx.oracle, ctx.layout);
+        const Graph& g = lg.graph();
+        const OrderingChecker& checker = lg.checker();
         for (const Node* n : checker.tokenNodes()) {
             bool plumbing =
                 n->kind == NodeKind::Combine ||
@@ -211,14 +180,7 @@ class DeadTokenSinkRule : public LintRule
                  n->type == VT::Token);
             if (!plumbing)
                 continue;
-            bool useful = false;
-            for (const Node* s : checker.sideEffects()) {
-                if (checker.tokenReaches(n, s)) {
-                    useful = true;
-                    break;
-                }
-            }
-            if (useful)
+            if (checker.tokenReachesSideEffect(n))
                 continue;
             LintFinding f;
             f.rule = "dead-token-sink";
@@ -250,9 +212,10 @@ class UnprovablePragmaRule : public LintRule
     }
 
     void
-    run(const Graph& g, const LintContext& ctx,
+    run(const LintGraph& lg, const LintContext& ctx,
         std::vector<LintFinding>& out) const override
     {
+        const Graph& g = lg.graph();
         if (!ctx.oracle)
             return;
         for (const auto& [a, b] : ctx.oracle->independentPairs()) {
@@ -304,10 +267,10 @@ class MergeableResidueRule : public LintRule
     }
 
     void
-    run(const Graph& g, const LintContext& ctx,
+    run(const LintGraph& lg, const LintContext&,
         std::vector<LintFinding>& out) const override
     {
-        (void)ctx;
+        const Graph& g = lg.graph();
         std::vector<const Node*> ops;
         for (const Node* n : g.liveNodes()) {
             // Full arity only: a malformed access (e.g. a corrupted
@@ -316,7 +279,7 @@ class MergeableResidueRule : public LintRule
             if (n->isMemoryAccess() && n->numInputs() == want)
                 ops.push_back(n);
         }
-        ReachabilityCache reach(g);
+        Reachability reach(g);
         for (size_t i = 0; i < ops.size(); i++) {
             for (size_t j = i + 1; j < ops.size(); j++) {
                 const Node* a = ops[i];
@@ -327,7 +290,8 @@ class MergeableResidueRule : public LintRule
                     a->signExtend != b->signExtend ||
                     !(a->input(2) == b->input(2)))
                     continue;
-                if (tokenSourceNodes(a) != tokenSourceNodes(b))
+                if (OrderingChecker::orderingSources(a) !=
+                    OrderingChecker::orderingSources(b))
                     continue;
                 // Same cycle guard the merger applies: a pair it
                 // would refuse to merge is not residue.
@@ -426,9 +390,10 @@ class PrunableCallEdgeRule : public LintRule
     }
 
     void
-    run(const Graph& g, const LintContext& ctx,
+    run(const LintGraph& lg, const LintContext& ctx,
         std::vector<LintFinding>& out) const override
     {
+        const Graph& g = lg.graph();
         if (!ctx.oracle || !ctx.interproc)
             return;
         for (const Node* n : g.liveNodes()) {
@@ -439,7 +404,7 @@ class PrunableCallEdgeRule : public LintRule
             LocationSet rn, wn;
             if (!interprocEffects(g, n, *ctx.interproc, &rn, &wn))
                 continue;
-            for (const Node* j : tokenSourceNodes(n)) {
+            for (const Node* j : OrderingChecker::orderingSources(n)) {
                 if (n->kind != NodeKind::Call &&
                     j->kind != NodeKind::Call)
                     continue;  // intraprocedural pairs: token_removal
@@ -489,9 +454,10 @@ class SummaryDivergenceRule : public LintRule
     }
 
     void
-    run(const Graph& g, const LintContext& ctx,
+    run(const LintGraph& lg, const LintContext& ctx,
         std::vector<LintFinding>& out) const override
     {
+        const Graph& g = lg.graph();
         if (!ctx.interproc)
             return;
         for (const Node* n : g.liveNodes()) {
@@ -540,6 +506,26 @@ normalizeRuleName(const std::string& name)
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// LintGraph
+// ---------------------------------------------------------------------
+
+LintGraph::LintGraph(const Graph& g, const LintContext& ctx)
+    : g_(g), ctx_(ctx)
+{
+}
+
+LintGraph::~LintGraph() = default;
+
+OrderingChecker&
+LintGraph::checker() const
+{
+    if (!checker_)
+        checker_ = std::make_unique<OrderingChecker>(
+            g_, ctx_.oracle, ctx_.layout, ctx_.interproc);
+    return *checker_;
+}
 
 // ---------------------------------------------------------------------
 // LintRegistry
@@ -643,10 +629,11 @@ runLints(const std::vector<const Graph*>& graphs,
 
     LintReport report;
     for (const Graph* g : graphs) {
+        LintGraph lg(*g, ctx);
         for (size_t ri = 0; ri < rules.size(); ri++) {
             uint64_t t0 = tracer ? tracer->nowUs() : 0;
             size_t before = report.findings.size();
-            rules[ri]->run(*g, ctx, report.findings);
+            rules[ri]->run(lg, ctx, report.findings);
             int64_t found =
                 static_cast<int64_t>(report.findings.size() - before);
             if (ctx.stats && found)

@@ -46,6 +46,7 @@
 namespace cash {
 
 class InterprocModel;
+class OrderingChecker;
 
 enum class LintSeverity
 {
@@ -94,6 +95,31 @@ struct LintContext
     const InterprocModel* interproc = nullptr;
 };
 
+/**
+ * One graph under lint, with the facts several rules read: built on
+ * first use and shared by every rule runLints() runs on the graph.
+ */
+class LintGraph
+{
+  public:
+    LintGraph(const Graph& g, const LintContext& ctx);
+    ~LintGraph();
+
+    const Graph& graph() const { return g_; }
+
+    /**
+     * The graph's ordering checker (analysis/ordering_checker.h), its
+     * calls resolved through ctx.interproc: one token graph and one
+     * pair of closures per graph, whichever rules ask.
+     */
+    OrderingChecker& checker() const;
+
+  private:
+    const Graph& g_;
+    const LintContext& ctx_;
+    mutable std::unique_ptr<OrderingChecker> checker_;
+};
+
 /** Base class of all lint rules.  Rules are stateless between runs. */
 class LintRule
 {
@@ -102,8 +128,8 @@ class LintRule
     virtual const char* name() const = 0;
     virtual LintSeverity severity() const = 0;
     virtual const char* description() const = 0;
-    /** Append findings for @p g to @p out (never mutates the graph). */
-    virtual void run(const Graph& g, const LintContext& ctx,
+    /** Append findings for @p lg's graph to @p out (never mutates it). */
+    virtual void run(const LintGraph& lg, const LintContext& ctx,
                      std::vector<LintFinding>& out) const = 0;
 };
 

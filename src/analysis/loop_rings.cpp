@@ -7,8 +7,23 @@
 
 namespace cash {
 
+const std::vector<Node*>&
+HyperblockNodes::of(int hb)
+{
+    if (!built_) {
+        byHb_.assign(g_.hyperblocks.size(), {});
+        g_.forEach([&](Node* n) {
+            if (n->hyperblock >= 0 &&
+                static_cast<size_t>(n->hyperblock) < byHb_.size())
+                byHb_[n->hyperblock].push_back(n);
+        });
+        built_ = true;
+    }
+    return byHb_.at(static_cast<size_t>(hb));
+}
+
 std::optional<TokenRing>
-findTokenRing(Graph& g, int hb, int partition)
+findTokenRing(Graph& g, HyperblockNodes& nodes, int hb, int partition)
 {
     if (hb < 0 || hb >= static_cast<int>(g.hyperblocks.size()))
         return std::nullopt;
@@ -50,11 +65,12 @@ findTokenRing(Graph& g, int hb, int partition)
 
     // Collect the partition's operations inside the hyperblock; bail
     // on calls/returns (they touch every partition).
+    const std::vector<Node*>& body = nodes.of(hb);
     std::set<const Node*> opSet;
     bool bad = false;
-    g.forEach([&](Node* n) {
+    for (Node* n : body) {
         if (n->dead || n->hyperblock != hb)
-            return;
+            continue;
         if (n->kind == NodeKind::Call || n->kind == NodeKind::Return)
             bad = true;
         if (n->isMemoryAccess() && n->partition == partition) {
@@ -62,11 +78,11 @@ findTokenRing(Graph& g, int hb, int partition)
             // take a constant token and participate in no ring.
             if (n->input(n->tokenInIndex()).node->kind ==
                 NodeKind::Const)
-                return;
+                continue;
             ring.ops.push_back(n);
             opSet.insert(n);
         }
-    });
+    }
     if (bad)
         return std::nullopt;
 
@@ -95,11 +111,11 @@ findTokenRing(Graph& g, int hb, int partition)
 
     // Exit etas: token etas in this hyperblock whose source set is the
     // ring state (merge and/or dangling ops), excluding the back eta.
-    g.forEach([&](Node* n) {
+    for (Node* n : body) {
         if (n->dead || n->hyperblock != hb || n == ring.backEta)
-            return;
+            continue;
         if (n->kind != NodeKind::Eta || n->type != VT::Token)
-            return;
+            continue;
         std::vector<PortRef> srcs =
             optutil::expandTokenSources(n->input(0));
         bool ours = !srcs.empty();
@@ -109,7 +125,7 @@ findTokenRing(Graph& g, int hb, int partition)
         }
         if (ours)
             ring.exitEtas.push_back(n);
-    });
+    }
 
     // The back eta itself must carry ring state.
     for (const PortRef& s :

@@ -33,6 +33,29 @@ struct TokenRing
 };
 
 /**
+ * The live nodes of each hyperblock of a graph, in node order: what
+ * findTokenRing() scans.  Built on first use; a pass keeps one per run
+ * and calls invalidate() after a rewrite that creates nodes (a ring
+ * split).  Nodes erased since the build are skipped at lookup.
+ */
+class HyperblockNodes
+{
+  public:
+    explicit HyperblockNodes(const Graph& g) : g_(g) {}
+
+    /** The nodes of hyperblock @p hb (0 <= hb < hyperblocks.size()). */
+    const std::vector<Node*>& of(int hb);
+
+    /** Drop the buckets; the next of() rebuilds them. */
+    void invalidate() { built_ = false; }
+
+  private:
+    const Graph& g_;
+    bool built_ = false;
+    std::vector<std::vector<Node*>> byHb_;
+};
+
+/**
  * Find the ring for (@p hb, @p partition) in @p g when it has the
  * canonical shape the §6 transformations can rewrite:
  *  - @p hb is a self-loop hyperblock;
@@ -41,7 +64,8 @@ struct TokenRing
  *  - every ring op's token sources are the merge or other ring ops.
  * Returns nullopt otherwise.
  */
-std::optional<TokenRing> findTokenRing(Graph& g, int hb, int partition);
+std::optional<TokenRing> findTokenRing(Graph& g, HyperblockNodes& nodes,
+                                       int hb, int partition);
 
 } // namespace cash
 

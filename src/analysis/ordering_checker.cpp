@@ -58,24 +58,44 @@ OrderingChecker::OrderingChecker(const Graph& g,
 
 OrderingChecker::~OrderingChecker() = default;
 
+int
+OrderingChecker::tokenIndex(const Node* n) const
+{
+    // The pointer comparison rejects another graph's node whose id
+    // happens to collide with one of ours.
+    size_t id = static_cast<size_t>(n->id);
+    if (id >= index_.size() || index_[id] < 0 ||
+        tokenNodes_[static_cast<size_t>(index_[id])] != n)
+        return -1;
+    return index_[id];
+}
+
 void
 OrderingChecker::buildTokenGraph()
 {
     // Token-graph vertices: every live node that produces or consumes
-    // a token value.  liveNodes() is node-id ordered, so the dense
+    // a token value.  forEach() visits in node-id order, so the dense
     // indices (and with them every finding sequence) are deterministic.
-    for (const Node* n : g_.liveNodes()) {
+    index_.assign(static_cast<size_t>(g_.idLimit()), -1);
+    g_.forEach([&](const Node* n) {
         if (producesToken(n) || consumesToken(n)) {
-            index_[n] = static_cast<int>(tokenNodes_.size());
+            index_[n->id] = static_cast<int>(tokenNodes_.size());
             tokenNodes_.push_back(n);
         }
         if (n->isSideEffect())
             sideEffects_.push_back(n);
-    }
+    });
     stats_.tokenNodes = static_cast<int64_t>(tokenNodes_.size());
     stats_.sideEffects = static_cast<int64_t>(sideEffects_.size());
 
     const int n = static_cast<int>(tokenNodes_.size());
+    words_ = (n + 63) / 64;
+    sideEffectBits_.assign(static_cast<size_t>(words_), 0);
+    for (const Node* se : sideEffects_) {
+        int si = tokenIndex(se);
+        if (si >= 0)
+            sideEffectBits_[si / 64] |= uint64_t(1) << (si % 64);
+    }
     succAll_.assign(n, {});
     succFwd_.assign(n, {});
     for (int vi = 0; vi < n; vi++) {
@@ -85,12 +105,12 @@ OrderingChecker::buildTokenGraph()
             if (!in.valid() || in.node->dead ||
                 in.node->outputType(in.port) != VT::Token)
                 continue;
-            auto it = index_.find(in.node);
-            if (it == index_.end())
+            int ui = tokenIndex(in.node);
+            if (ui < 0)
                 continue;
-            succAll_[it->second].push_back(vi);
+            succAll_[ui].push_back(vi);
             if (!v->inputIsBackEdge(i))
-                succFwd_[it->second].push_back(vi);
+                succFwd_[ui].push_back(vi);
             stats_.tokenEdges++;
         }
     }
@@ -107,7 +127,6 @@ OrderingChecker::buildClosure(bool includeBackEdges,
                               std::vector<uint64_t>& matrix)
 {
     const int n = static_cast<int>(tokenNodes_.size());
-    words_ = (n + 63) / 64;
     matrix.assign(static_cast<size_t>(n) * words_, 0);
     if (n == 0)
         return;
@@ -125,10 +144,11 @@ OrderingChecker::buildClosure(bool includeBackEdges,
         int v;
         size_t next;
     };
+    std::vector<Frame> frames;
     for (int root = 0; root < n; root++) {
         if (num[root] != -1)
             continue;
-        std::vector<Frame> frames{{root, 0}};
+        frames.push_back({root, 0});
         num[root] = low[root] = counter++;
         stack.push_back(root);
         onStack[root] = true;
@@ -168,24 +188,25 @@ OrderingChecker::buildClosure(bool includeBackEdges,
     // Tarjan emits an SCC only after every SCC it can reach, so the
     // emission order is already reverse-topological: propagate rows in
     // that order.  row(S) = member bits of S ∪ rows of successor SCCs.
-    std::vector<std::vector<uint64_t>> sccRow(
-        sccs.size(), std::vector<uint64_t>(words_, 0));
+    const size_t w = static_cast<size_t>(words_);
+    std::vector<uint64_t> sccRow(sccs.size() * w, 0);
     for (size_t s = 0; s < sccs.size(); s++) {
-        std::vector<uint64_t>& row = sccRow[s];
+        uint64_t* row = sccRow.data() + s * w;
         for (int v : sccs[s]) {
             row[v / 64] |= uint64_t(1) << (v % 64);
-            for (int w : succ[v]) {
-                if (sccOf[w] == static_cast<int>(s))
+            for (int x : succ[v]) {
+                if (sccOf[x] == static_cast<int>(s))
                     continue;
-                const std::vector<uint64_t>& other = sccRow[sccOf[w]];
-                for (int k = 0; k < words_; k++)
+                const uint64_t* other =
+                    sccRow.data() + static_cast<size_t>(sccOf[x]) * w;
+                for (size_t k = 0; k < w; k++)
                     row[k] |= other[k];
             }
         }
     }
     for (int v = 0; v < n; v++)
-        std::copy(sccRow[sccOf[v]].begin(), sccRow[sccOf[v]].end(),
-                  matrix.begin() + static_cast<size_t>(v) * words_);
+        std::copy_n(sccRow.data() + static_cast<size_t>(sccOf[v]) * w, w,
+                    matrix.begin() + static_cast<size_t>(v) * w);
 
     // Singleton SCC without a self-loop: drop the reflexive bit so the
     // relation is "reachable via at least one edge" plus ring mutuals.
@@ -210,28 +231,40 @@ OrderingChecker::buildHbReach()
     size_t maxId = g_.hyperblocks.size();
     for (const HbInfo& hb : g_.hyperblocks)
         maxId = std::max(maxId, static_cast<size_t>(hb.id) + 1);
-    hbReach_.assign(maxId, std::vector<bool>(maxId, false));
+    hbCount_ = maxId;
+    hbReach_.assign(maxId * maxId, false);
+    // Successor lists by hyperblock id (several HbInfo may share one).
+    std::vector<std::vector<int>> succ(maxId);
+    for (const HbInfo& hb : g_.hyperblocks)
+        if (hb.id >= 0)
+            succ[hb.id].insert(succ[hb.id].end(), hb.successors.begin(),
+                               hb.successors.end());
+    std::vector<int> work;
     for (const HbInfo& hb : g_.hyperblocks) {
         if (hb.id < 0 || static_cast<size_t>(hb.id) >= maxId)
             continue;
-        std::vector<int> work{hb.id};
-        hbReach_[hb.id][hb.id] = true;
+        std::vector<bool>::iterator row =
+            hbReach_.begin() + static_cast<ptrdiff_t>(hb.id * maxId);
+        work.assign(1, hb.id);
+        row[hb.id] = true;
         while (!work.empty()) {
             int cur = work.back();
             work.pop_back();
-            for (const HbInfo& other : g_.hyperblocks) {
-                if (other.id != cur)
+            for (int s : succ[cur]) {
+                if (s < 0 || static_cast<size_t>(s) >= maxId || row[s])
                     continue;
-                for (int s : other.successors) {
-                    if (s < 0 || static_cast<size_t>(s) >= maxId ||
-                        hbReach_[hb.id][s])
-                        continue;
-                    hbReach_[hb.id][s] = true;
-                    work.push_back(s);
-                }
+                row[s] = true;
+                work.push_back(s);
             }
         }
     }
+}
+
+bool
+OrderingChecker::hbReaches(int from, int to) const
+{
+    return hbReach_[static_cast<size_t>(from) * hbCount_ +
+                    static_cast<size_t>(to)];
 }
 
 bool
@@ -242,10 +275,10 @@ OrderingChecker::hbCoexist(const Node* a, const Node* b) const
         return true;
     // Unknown hyperblocks (hand-built graphs): assume the worst.
     if (ha < 0 || hb < 0 ||
-        static_cast<size_t>(ha) >= hbReach_.size() ||
-        static_cast<size_t>(hb) >= hbReach_.size())
+        static_cast<size_t>(ha) >= hbCount_ ||
+        static_cast<size_t>(hb) >= hbCount_)
         return true;
-    return hbReach_[ha][hb] || hbReach_[hb][ha];
+    return hbReaches(ha, hb) || hbReaches(hb, ha);
 }
 
 void
@@ -275,11 +308,11 @@ OrderingChecker::buildProductive()
                 if (!in.valid() || in.node->dead ||
                     in.node->outputType(in.port) != VT::Token)
                     continue;
-                auto it = index_.find(in.node);
-                if (it == index_.end())
+                int ui = tokenIndex(in.node);
+                if (ui < 0)
                     continue;
                 have = true;
-                if (productive_[it->second])
+                if (productive_[ui])
                     any = true;
                 else
                     all = false;
@@ -295,8 +328,8 @@ OrderingChecker::buildProductive()
 bool
 OrderingChecker::productive(const Node* n) const
 {
-    auto it = index_.find(n);
-    return it == index_.end() || productive_[it->second];
+    int i = tokenIndex(n);
+    return i < 0 || productive_[i];
 }
 
 void
@@ -373,10 +406,10 @@ OrderingChecker::returnExcludesDir(const Node* x, const Node* y) const
     // (both inside a loop) stays conservative.
     int hx = x->hyperblock, hy = y->hyperblock;
     if (hx == hy || hx < 0 || hy < 0 ||
-        static_cast<size_t>(hx) >= hbReach_.size() ||
-        static_cast<size_t>(hy) >= hbReach_.size())
+        static_cast<size_t>(hx) >= hbCount_ ||
+        static_cast<size_t>(hy) >= hbCount_)
         return false;
-    if (!hbReach_[hx][hy] || hbReach_[hy][hx])
+    if (!hbReaches(hx, hy) || hbReaches(hy, hx))
         return false;
     if (x->kind == NodeKind::Return)
         return true;
@@ -405,12 +438,11 @@ bool
 OrderingChecker::reachBit(const std::vector<uint64_t>& matrix,
                           const Node* a, const Node* b) const
 {
-    auto ia = index_.find(a);
-    auto ib = index_.find(b);
-    if (ia == index_.end() || ib == index_.end())
+    int ai = tokenIndex(a);
+    int bi = tokenIndex(b);
+    if (ai < 0 || bi < 0)
         return false;
-    int bi = ib->second;
-    return (matrix[static_cast<size_t>(ia->second) * words_ + bi / 64] >>
+    return (matrix[static_cast<size_t>(ai) * words_ + bi / 64] >>
             (bi % 64)) &
            1;
 }
@@ -425,6 +457,20 @@ bool
 OrderingChecker::tokenReachesForward(const Node* a, const Node* b) const
 {
     return reachBit(reachFwd_, a, b);
+}
+
+bool
+OrderingChecker::tokenReachesSideEffect(const Node* n) const
+{
+    int i = tokenIndex(n);
+    if (i < 0)
+        return false;
+    const uint64_t* row =
+        reachAll_.data() + static_cast<size_t>(i) * words_;
+    for (int w = 0; w < words_; w++)
+        if (row[w] & sideEffectBits_[w])
+            return true;
+    return false;
 }
 
 /**
@@ -509,15 +555,20 @@ OrderingChecker::effectiveWriteSet(const Node* n) const
 }
 
 bool
-OrderingChecker::mayConflict(const Node* a, const Node* b) const
+OrderingChecker::mayConflict(size_t i, size_t j)
 {
+    // Might side effects i and j dynamically coexist and touch a
+    // common address with at least one write?  (Recomputed sets +
+    // oracle + hyperblock reachability; no symbolic reasoning.)
     if (!oracle_)
         return false;
-    LocationSet ra = effectiveReadSet(a), wa = effectiveWriteSet(a);
-    LocationSet rb = effectiveReadSet(b), wb = effectiveWriteSet(b);
-    bool overlap = oracle_->mayOverlap(wa, rb) ||
-                   oracle_->mayOverlap(wb, ra) ||
-                   oracle_->mayOverlap(wa, wb);
+    const Node* a = sideEffects_[i];
+    const Node* b = sideEffects_[j];
+    const Effects& ea = effects_[i];
+    const Effects& eb = effects_[j];
+    bool overlap = oracle_->mayOverlap(ea.writes, eb.reads) ||
+                   oracle_->mayOverlap(eb.writes, ea.reads) ||
+                   oracle_->mayOverlap(ea.writes, eb.writes);
     if (!overlap || !hbCoexist(a, b))
         return false;
     // A node that can never fire (starved ring behind a folded
@@ -535,7 +586,7 @@ OrderingChecker::mayConflict(const Node* a, const Node* b) const
     // etas gating every token path that can feed them (a load
     // hoisted out of one branch stays exclusive with a store whose
     // ring is seeded from the other branch).
-    if (predsExclude(a, b))
+    if (predsExclude(ea, eb))
         return false;
     return true;
 }
@@ -543,9 +594,6 @@ OrderingChecker::mayConflict(const Node* a, const Node* b) const
 std::vector<PortRef>
 OrderingChecker::accessPreds(const Node* n) const
 {
-    auto cached = predCache_.find(n);
-    if (cached != predCache_.end())
-        return cached->second;
     // Predicates that must be true for @p n to perform its memory
     // access: its own predicate input (a nullified access touches
     // nothing), plus the predicate of every eta that dominates all
@@ -560,10 +608,10 @@ OrderingChecker::accessPreds(const Node* n) const
     if (pi >= 0 && pi < n->numInputs() && n->input(pi).valid())
         preds.push_back(n->input(pi));
     constexpr size_t kMaxPreds = 8;
-    auto it = index_.find(n);
-    if (it != index_.end() && !gateEta_.empty()) {
+    int ni = tokenIndex(n);
+    if (ni >= 0 && !gateEta_.empty()) {
         const uint64_t* row =
-            gateEta_.data() + static_cast<size_t>(it->second) * words_;
+            gateEta_.data() + static_cast<size_t>(ni) * words_;
         for (int w = 0; w < words_ && preds.size() < kMaxPreds; w++) {
             uint64_t bits = row[w];
             while (bits && preds.size() < kMaxPreds) {
@@ -577,19 +625,23 @@ OrderingChecker::accessPreds(const Node* n) const
             }
         }
     }
-    predCache_[n] = preds;
     return preds;
 }
 
 bool
-OrderingChecker::predsExclude(const Node* a, const Node* b) const
+OrderingChecker::predsExclude(const Effects& a, const Effects& b)
 {
-    std::vector<PortRef> pa = accessPreds(a);
-    std::vector<PortRef> pb = accessPreds(b);
-    for (const PortRef& p : pa)
-        for (const PortRef& q : pb)
-            if (predDisjoint(p, q))
+    // Side effects share a handful of block and eta predicates, so
+    // each port pair's verdict is worth remembering for the run.
+    for (const PortRef& p : a.preds)
+        for (const PortRef& q : b.preds) {
+            auto [it, fresh] =
+                disjointMemo_.try_emplace(PortPair{p, q}, false);
+            if (fresh)
+                it->second = predDisjoint(p, q);
+            if (it->second)
                 return true;
+        }
     return false;
 }
 
@@ -613,7 +665,7 @@ OrderingChecker::symbolicallyDisjoint(const Node* a, const Node* b)
 }
 
 std::vector<const Node*>
-OrderingChecker::orderingSources(const Node* n) const
+OrderingChecker::orderingSources(const Node* n)
 {
     std::vector<const Node*> out;
     int ti = n->tokenInIndex();
@@ -623,22 +675,25 @@ OrderingChecker::orderingSources(const Node* n) const
     if (!root.valid())
         return out;
     std::vector<const Node*> work{root.node};
-    std::set<const Node*> seen;
+    std::vector<const Node*> combines;
     while (!work.empty()) {
         const Node* cur = work.back();
         work.pop_back();
-        if (!seen.insert(cur).second)
-            continue;
-        if (cur->kind == NodeKind::Combine) {
-            for (int i = 0; i < cur->numInputs(); i++)
-                if (cur->input(i).valid())
-                    work.push_back(cur->input(i).node);
-        } else {
+        if (cur->kind != NodeKind::Combine) {
             out.push_back(cur);
+            continue;
         }
+        if (std::find(combines.begin(), combines.end(), cur) !=
+            combines.end())
+            continue;
+        combines.push_back(cur);
+        for (int i = 0; i < cur->numInputs(); i++)
+            if (cur->input(i).valid())
+                work.push_back(cur->input(i).node);
     }
     std::sort(out.begin(), out.end(),
               [](const Node* a, const Node* b) { return a->id < b->id; });
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
 }
 
@@ -652,10 +707,10 @@ OrderingChecker::check(std::vector<LintFinding>& out)
     // Scan all live nodes, not just the token graph: a corrupted
     // Return in a store-free function neither produces nor consumes a
     // token any more, yet is exactly the node that must be reported.
-    for (const Node* n : g_.liveNodes()) {
+    g_.forEach([&](const Node* n) {
         int ti = n->tokenInIndex();
         if (ti < 0)
-            continue;
+            return;
         std::string problem;
         if (ti >= n->numInputs())
             problem = "its token input slot is missing";
@@ -668,7 +723,7 @@ OrderingChecker::check(std::vector<LintFinding>& out)
                           n->input(ti).port)) +
                       " value from " + nodeDesc(n->input(ti).node);
         if (problem.empty())
-            continue;
+            return;
         LintFinding f;
         f.rule = "ordering-soundness";
         f.severity = LintSeverity::Error;
@@ -680,19 +735,25 @@ OrderingChecker::check(std::vector<LintFinding>& out)
                         " is not anchored in the token graph: " +
                         problem;
         out.push_back(f);
-    }
+    });
 
     // Part 2 — ordering: every may-conflicting side-effect pair must
-    // be connected by a token path in some direction.
+    // be connected by a token path in some direction.  Each side
+    // effect's sets and access predicates are computed once, not per
+    // pair.
+    effects_.clear();
+    effects_.reserve(sideEffects_.size());
+    for (const Node* n : sideEffects_)
+        effects_.push_back(
+            {effectiveReadSet(n), effectiveWriteSet(n), accessPreds(n)});
     for (size_t i = 0; i < sideEffects_.size(); i++) {
         for (size_t j = i + 1; j < sideEffects_.size(); j++) {
             const Node* a = sideEffects_[i];
             const Node* b = sideEffects_[j];
             stats_.pairsConsidered++;
-            if (effectiveWriteSet(a).empty() &&
-                effectiveWriteSet(b).empty())
+            if (effects_[i].writes.empty() && effects_[j].writes.empty())
                 continue;  // read–read never conflicts
-            if (!mayConflict(a, b))
+            if (!mayConflict(i, j))
                 continue;
             stats_.pairsConflicting++;
             if (ordered(a, b))

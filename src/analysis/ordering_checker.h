@@ -25,8 +25,9 @@
 #define CASH_ANALYSIS_ORDERING_CHECKER_H
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/lint.h"
@@ -54,20 +55,22 @@ struct OrderingStats
 /**
  * The checker for one graph.  Construction builds the token graph and
  * both reachability closures; queries are then O(1) bitset probes.
- * The graph must not be mutated while a checker is alive.
+ * The graph must not be mutated while a checker is alive.  One checker
+ * serves every query and check() run on its graph state.
  */
 class OrderingChecker
 {
   public:
     /**
-     * With a non-null @p interproc, calls get per-call-site effective
-     * read/write sets from the independent interprocedural model
-     * (analysis/interproc.h) instead of the conservative Top — the
-     * mode that re-proves every `interproc_token_pruning` decision.
+     * @p interproc is the interprocedural effect model calls resolve
+     * through (analysis/interproc.h): with one, calls get per-call-site
+     * effective read/write sets — the mode that re-proves every
+     * `interproc_token_pruning` decision; with null, calls stay at the
+     * conservative Top.  Every caller states which it wants.
      */
     OrderingChecker(const Graph& g, const AliasOracle* oracle,
                     const MemoryLayout* layout,
-                    const InterprocModel* interproc = nullptr);
+                    const InterprocModel* interproc);
     ~OrderingChecker();
 
     /**
@@ -83,19 +86,15 @@ class OrderingChecker
     /** Token path a ⇝ b using forward (non-back) edges only. */
     bool tokenReachesForward(const Node* a, const Node* b) const;
 
+    /** Does a token path lead from @p n to any side effect? */
+    bool tokenReachesSideEffect(const Node* n) const;
+
     /** Ordered in either direction? */
     bool
     ordered(const Node* a, const Node* b) const
     {
         return tokenReaches(a, b) || tokenReaches(b, a);
     }
-
-    /**
-     * Might @p a and @p b dynamically coexist and touch a common
-     * address with at least one write?  (Recomputed sets + oracle +
-     * hyperblock reachability; no symbolic reasoning.)
-     */
-    bool mayConflict(const Node* a, const Node* b) const;
 
     /** Provably address-disjoint within one iteration context? */
     bool symbolicallyDisjoint(const Node* a, const Node* b);
@@ -115,9 +114,10 @@ class OrderingChecker
     /**
      * The non-Combine producers feeding @p n's token input, found by
      * walking through Combine nodes only (independent reimplementation
-     * of the token-source expansion used by the passes).
+     * of the token-source expansion used by the passes), node-id
+     * sorted.  A pure function of @p n's inputs.
      */
-    std::vector<const Node*> orderingSources(const Node* n) const;
+    static std::vector<const Node*> orderingSources(const Node* n);
 
     /** The recomputed effective read set of @p n (const-filtered). */
     LocationSet effectiveReadSet(const Node* n) const;
@@ -128,15 +128,28 @@ class OrderingChecker
     const OrderingStats& stats() const { return stats_; }
 
   private:
+    /** What check() needs of one side effect, computed once a run. */
+    struct Effects
+    {
+        LocationSet reads;
+        LocationSet writes;
+        /** accessPreds(): must all be true for the access to happen. */
+        std::vector<PortRef> preds;
+    };
+
     void buildTokenGraph();
     void buildClosure(bool includeBackEdges,
                       std::vector<uint64_t>& matrix);
     void buildHbReach();
     void buildProductive();
     void buildGates();
+    /** Token-graph index of @p n, or -1 outside the token graph. */
+    int tokenIndex(const Node* n) const;
     bool productive(const Node* n) const;
     std::vector<PortRef> accessPreds(const Node* n) const;
-    bool predsExclude(const Node* a, const Node* b) const;
+    bool mayConflict(size_t i, size_t j);
+    bool predsExclude(const Effects& a, const Effects& b);
+    bool hbReaches(int from, int to) const;
     bool hbCoexist(const Node* a, const Node* b) const;
     bool returnExcludes(const Node* a, const Node* b) const;
     bool returnExcludesDir(const Node* x, const Node* y) const;
@@ -149,19 +162,47 @@ class OrderingChecker
     const MemoryLayout* layout_;
     const InterprocModel* interproc_;
 
-    std::map<const Node*, int> index_;       ///< token node → dense id.
+    std::vector<int> index_;                 ///< node id → token index.
     std::vector<const Node*> tokenNodes_;
     std::vector<std::vector<int>> succAll_;  ///< All token edges.
     std::vector<std::vector<int>> succFwd_;  ///< Non-back token edges.
     int words_ = 0;                          ///< Bitset row width.
     std::vector<uint64_t> reachAll_;         ///< N×words_ closure.
     std::vector<uint64_t> reachFwd_;         ///< Forward-only closure.
+    std::vector<uint64_t> sideEffectBits_;   ///< Token-graph side effects.
 
     std::vector<const Node*> sideEffects_;
-    std::vector<std::vector<bool>> hbReach_; ///< HB id → reachable ids.
+    size_t hbCount_ = 0;
+    std::vector<bool> hbReach_;              ///< hbCount_² reachability.
     std::vector<bool> productive_;           ///< Token node can ever fire.
     std::vector<uint64_t> gateEta_;          ///< Dominating-eta bitsets.
-    mutable std::map<const Node*, std::vector<PortRef>> predCache_;
+
+    /** An ordered pair of predicate ports, hashed by address. */
+    struct PortPair
+    {
+        PortRef p, q;
+        bool
+        operator==(const PortPair& o) const
+        {
+            return p == o.p && q == o.q;
+        }
+    };
+    struct PortPairHash
+    {
+        size_t
+        operator()(const PortPair& k) const
+        {
+            auto h = [](const PortRef& r) {
+                return std::hash<const void*>()(r.node) * 31 +
+                       static_cast<size_t>(r.port);
+            };
+            return h(k.p) * 0x9e3779b97f4a7c15ull ^ h(k.q);
+        }
+    };
+
+    std::vector<Effects> effects_;           ///< Parallel to sideEffects_.
+    /** predDisjoint() per (p, q) port pair seen by check(). */
+    std::unordered_map<PortPair, bool, PortPairHash> disjointMemo_;
 
     std::unique_ptr<InductionAnalysis> ivs_; ///< Lazy (symbolic only).
     std::unique_ptr<SymbolicAddress> sym_;

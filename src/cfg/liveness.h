@@ -8,24 +8,30 @@
 #ifndef CASH_CFG_LIVENESS_H
 #define CASH_CFG_LIVENESS_H
 
-#include <set>
 #include <vector>
 
 #include "cfg/cfg.h"
 
 namespace cash {
 
-/** Backward may-liveness of virtual registers per block. */
+/**
+ * Backward may-liveness of virtual registers per block.  The fixpoint
+ * runs on one bitset per block over the function's registers; the
+ * results are handed out as ascending register lists, the order the
+ * builder creates merges and etas in.
+ */
 class Liveness
 {
   public:
     explicit Liveness(const CfgFunction& fn);
 
-    const std::set<int>& liveIn(int block) const
+    /** Registers live into @p block, ascending. */
+    const std::vector<int>& liveIn(int block) const
     {
         return liveIn_.at(block);
     }
-    const std::set<int>& liveOut(int block) const
+    /** Registers live out of @p block, ascending. */
+    const std::vector<int>& liveOut(int block) const
     {
         return liveOut_.at(block);
     }
@@ -38,8 +44,8 @@ class Liveness
     static std::vector<int> uses(const Terminator& t);
 
   private:
-    std::vector<std::set<int>> liveIn_;
-    std::vector<std::set<int>> liveOut_;
+    std::vector<std::vector<int>> liveIn_;
+    std::vector<std::vector<int>> liveOut_;
 };
 
 } // namespace cash

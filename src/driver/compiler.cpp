@@ -192,27 +192,29 @@ compileSource(const std::string& source, const CompileOptions& options)
             slot.trace.enable();
         }
         if (options.verify) {
-            if (options.strict) {
+            const Clock::time_point v0 = Clock::now();
+            std::vector<std::string> problems;
+            if (options.strict)
                 verifyOrDie(g, "after construction of " + g.name);
-            } else {
-                // A function whose construction already violates the
-                // invariants is left unoptimized (passes assume a
-                // well-formed graph); everything else proceeds.
-                std::vector<std::string> problems = verifyGraph(g);
-                if (!problems.empty()) {
-                    PassFailure fail;
-                    fail.function = g.name;
-                    fail.pass = "<construction>";
-                    fail.code = ErrorCode::VerifyError;
-                    fail.message =
-                        problems[0] + " (" +
-                        std::to_string(problems.size()) + " problems)";
-                    slot.failures.push_back(std::move(fail));
-                    slot.stats.add("opt.construction_verify_failures");
-                    slot.stats.add("ir.nodes.initial", g.numLive());
-                    slot.stats.add("ir.nodes.final", g.numLive());
-                    return;
-                }
+            else
+                problems = verifyGraph(g);
+            slot.stats.add("time.verify.us", us(v0, Clock::now()));
+            // A function whose construction already violates the
+            // invariants is left unoptimized (passes assume a
+            // well-formed graph); everything else proceeds.
+            if (!problems.empty()) {
+                PassFailure fail;
+                fail.function = g.name;
+                fail.pass = "<construction>";
+                fail.code = ErrorCode::VerifyError;
+                fail.message = problems[0] + " (" +
+                               std::to_string(problems.size()) +
+                               " problems)";
+                slot.failures.push_back(std::move(fail));
+                slot.stats.add("opt.construction_verify_failures");
+                slot.stats.add("ir.nodes.initial", g.numLive());
+                slot.stats.add("ir.nodes.final", g.numLive());
+                return;
             }
         }
         slot.stats.add("ir.nodes.initial", g.numLive());

@@ -214,6 +214,8 @@ runDriverRequest(const DriverRequest& req)
         }
 
         if (req.analyze) {
+            using Clock = std::chrono::steady_clock;
+            const Clock::time_point t0 = Clock::now();
             // Fresh interprocedural model over the *final* graphs: the
             // checker-side re-derivation that independently re-proves
             // every pruned cross-call edge (analysis/interproc.h).
@@ -228,6 +230,13 @@ runDriverRequest(const DriverRequest& req)
                 lctx.tracer = req.tracer;
             LintReport report =
                 runLints(r.graphPtrs(), lctx, req.analyzeRules);
+            // Analysis wall time: the interprocedural model plus the
+            // lint rules.
+            rep.compileStats.set(
+                "time.analysis.us",
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    Clock::now() - t0)
+                    .count());
             rep.findings = report.findings;
             rep.ranAnalysis = true;
             rep.analysisErrors = report.errors();

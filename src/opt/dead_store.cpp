@@ -32,16 +32,17 @@ class DeadStorePass : public Pass
             if (n->kind == NodeKind::Store)
                 stores.push_back(n);
         });
+        Reachability reach(g);
         for (Node* s1 : stores) {
             if (!s1->dead)
-                changed |= weaken(g, s1, ctx);
+                changed |= weaken(g, reach, s1, ctx);
         }
         return changed;
     }
 
   private:
     bool
-    weaken(Graph& g, Node* s1, OptContext& ctx)
+    weaken(Graph& g, Reachability& reach, Node* s1, OptContext& ctx)
     {
         if (isFalsePred(s1->input(0)))
             return false;  // already dead; §4.1 cleans it up
@@ -58,7 +59,6 @@ class DeadStorePass : public Pass
                 continue;
 
             // Cycle guard: p2 must not derive from s1's token.
-            ReachabilityCache reach(g);
             if (reach.reaches(s1, p2.node))
                 continue;
 

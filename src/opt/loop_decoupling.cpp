@@ -27,11 +27,12 @@ class LoopDecouplingPass : public Pass
     run(Graph& g, OptContext& ctx) override
     {
         bool changed = false;
+        HyperblockNodes nodes(g);
         for (const HbInfo& hb : g.hyperblocks) {
             if (!hb.isLoop)
                 continue;
             for (int p = 0; p < g.numPartitions; p++) {
-                auto ring = findTokenRing(g, hb.id, p);
+                auto ring = findTokenRing(g, nodes, hb.id, p);
                 if (!ring || ring->alreadySplit || ring->ops.empty())
                     continue;
                 auto gates = ringsplit::analyzeRingDependences(g, *ring);
@@ -40,6 +41,7 @@ class LoopDecouplingPass : public Pass
                 if (!gates || gates->empty())
                     continue;
                 ringsplit::splitRing(g, *ring, *gates, ctx);
+                nodes.invalidate();
                 ctx.count("opt.loop_decoupling.loops");
                 changed = true;
             }

@@ -39,9 +39,13 @@ class LoopInvariantPass : public Pass
             if (n->kind == NodeKind::Load && !n->hoisted)
                 loads.push_back(n);
         });
+        HyperblockNodes nodes(g);
         for (Node* load : loads) {
-            if (!load->dead)
-                changed |= hoist(g, load, ctx);
+            // A hoist creates nodes in the loop: rescan after one.
+            if (!load->dead && hoist(g, nodes, load, ctx)) {
+                nodes.invalidate();
+                changed = true;
+            }
         }
         return changed;
     }
@@ -114,7 +118,7 @@ class LoopInvariantPass : public Pass
     }
 
     bool
-    hoist(Graph& g, Node* load, OptContext& ctx)
+    hoist(Graph& g, HyperblockNodes& nodes, Node* load, OptContext& ctx)
     {
         int hb = load->hyperblock;
         if (hb < 0 || hb >= static_cast<int>(g.hyperblocks.size()) ||
@@ -134,7 +138,7 @@ class LoopInvariantPass : public Pass
 
         // The token must come straight from the partition ring merge,
         // and the ring must be the canonical rewriteable shape.
-        auto ringOpt = findTokenRing(g, hb, load->partition);
+        auto ringOpt = findTokenRing(g, nodes, hb, load->partition);
         if (!ringOpt)
             return false;
         TokenRing& ring = *ringOpt;

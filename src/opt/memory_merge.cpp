@@ -53,6 +53,7 @@ class MemoryMergePass : public Pass
                 ops.push_back(n);
         });
 
+        Reachability reach(g);
         for (size_t i = 0; i < ops.size(); i++) {
             if (ops[i]->dead)
                 continue;
@@ -61,7 +62,7 @@ class MemoryMergePass : public Pass
                     break;
                 if (ops[j]->dead)
                     continue;
-                if (tryMerge(g, ops[i], ops[j], ctx))
+                if (tryMerge(g, reach, ops[i], ops[j], ctx))
                     changed = true;
             }
         }
@@ -78,7 +79,8 @@ class MemoryMergePass : public Pass
     }
 
     bool
-    tryMerge(Graph& g, Node* a, Node* b, OptContext& ctx)
+    tryMerge(Graph& g, Reachability& reach, Node* a, Node* b,
+             OptContext& ctx)
     {
         if (!compatible(a, b))
             return false;
@@ -92,7 +94,6 @@ class MemoryMergePass : public Pass
         PortRef pa = a->input(0), pb = b->input(0);
         // Cycle guard: the surviving access must not (transitively)
         // feed the other's predicate or stored value.
-        ReachabilityCache reach(g);
         if (reach.reaches(b, pa.node) || reach.reaches(a, pb.node))
             return false;
         if (a->kind == NodeKind::Store &&

@@ -25,11 +25,12 @@ class MonotonePipeliningPass : public Pass
     run(Graph& g, OptContext& ctx) override
     {
         bool changed = false;
+        HyperblockNodes nodes(g);
         for (const HbInfo& hb : g.hyperblocks) {
             if (!hb.isLoop)
                 continue;
             for (int p = 0; p < g.numPartitions; p++) {
-                auto ring = findTokenRing(g, hb.id, p);
+                auto ring = findTokenRing(g, nodes, hb.id, p);
                 if (!ring || ring->alreadySplit || ring->ops.empty())
                     continue;
                 bool anyWrite = false;
@@ -44,6 +45,7 @@ class MonotonePipeliningPass : public Pass
                 if (!gates || !gates->empty())
                     continue;
                 ringsplit::splitRing(g, *ring, {}, ctx);
+                nodes.invalidate();
                 ctx.count("opt.monotone.loops");
                 changed = true;
             }

@@ -7,7 +7,6 @@
 #ifndef CASH_OPT_OPT_UTIL_H
 #define CASH_OPT_OPT_UTIL_H
 
-#include <set>
 #include <vector>
 
 #include "pegasus/graph.h"
@@ -24,35 +23,10 @@ isTokenProducer(const Node* n)
 
 /**
  * Expand a token input through Combine chains into its ultimate
- * sources (side-effect nodes, ring merges, token etas, generators).
+ * sources (side-effect nodes, ring merges, token etas, generators),
+ * deduplicated, in walk order.
  */
-inline std::vector<PortRef>
-expandTokenSources(PortRef in)
-{
-    std::vector<PortRef> out;
-    std::vector<PortRef> work{in};
-    std::set<const Node*> seen;
-    while (!work.empty()) {
-        PortRef cur = work.back();
-        work.pop_back();
-        if (!cur.valid())
-            continue;
-        if (cur.node->kind == NodeKind::Combine) {
-            if (!seen.insert(cur.node).second)
-                continue;
-            for (const PortRef& i : cur.node->inputs())
-                work.push_back(i);
-        } else {
-            bool dup = false;
-            for (const PortRef& o : out)
-                if (o == cur)
-                    dup = true;
-            if (!dup)
-                out.push_back(cur);
-        }
-    }
-    return out;
-}
+std::vector<PortRef> expandTokenSources(PortRef in);
 
 /**
  * Wire @p consumerInput of @p consumer to the given token sources,

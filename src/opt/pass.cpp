@@ -17,9 +17,11 @@ measureIr(const Graph& g)
     IrShape s;
     g.forEach([&](Node* n) {
         s.nodes++;
-        for (int i = 0; i < n->numInputs(); i++) {
+        for (const PortRef& in : n->inputs()) {
+            // A disconnected input is the verifier's to report.
+            if (!in.valid())
+                continue;
             s.edges++;
-            const PortRef& in = n->input(i);
             if (in.node->outputType(in.port) == VT::Token)
                 s.tokenEdges++;
         }
@@ -196,6 +198,86 @@ standardPipeline(OptLevel level)
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+int64_t
+usSince(Clock::time_point t0)
+{
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               Clock::now() - t0)
+        .count();
+}
+
+/**
+ * The manager's counters for one pipeline slot, tallied as integers
+ * and written to the StatSet once per graph (flushCounters()) under
+ * the keys a per-run ctx.count() would have used.
+ */
+struct PassTally
+{
+    int64_t runs = 0;              ///< opt.pass.<name>.runs
+    int64_t timeUs = 0;            ///< opt.pass.<name>.time_us
+    int64_t nodesRemoved = 0;      ///< opt.pass.<name>.nodes_removed
+    int64_t edgesRemoved = 0;      ///< opt.pass.<name>.edges_removed
+    int64_t tokenEdgesRemoved = 0; ///< ....token_edges_removed
+    int64_t changed = 0;           ///< opt.<name>.changed
+};
+
+/**
+ * measureIr() of @p g after a journaled run, from @p shape, its
+ * measure when the journal opened: the nodes the journal saved are
+ * counted out as they were and back in as they are, created nodes are
+ * counted in, and an edge into an untouched node is recounted only
+ * when its producer's output types changed.
+ */
+IrShape
+journaledShape(const Graph& g, IrShape shape)
+{
+    // Saved nodes whose output types changed (rare: a rewrite in
+    // place), for the token-ness of edges as they were.
+    std::vector<std::pair<const Node*, const Node*>> retyped;
+    g.forEachJournaled([&](const Node* now, const Node* before) {
+        if (before && (now->kind != before->kind || now->type != before->type))
+            retyped.emplace_back(now, before);
+    });
+    auto typeBefore = [&](const PortRef& in) {
+        for (const auto& [now, before] : retyped)
+            if (now == in.node)
+                return before->outputType(in.port);
+        return in.node->outputType(in.port);
+    };
+    auto typeNow = [](const PortRef& in) {
+        return in.node->outputType(in.port);
+    };
+    auto count = [&](const Node* n, int64_t sign, auto typeOf) {
+        if (n->dead)
+            return;
+        shape.nodes += sign;
+        for (const PortRef& in : n->inputs()) {
+            if (!in.valid())
+                continue;
+            shape.edges += sign;
+            if (typeOf(in) == VT::Token)
+                shape.tokenEdges += sign;
+        }
+    };
+    g.forEachJournaled([&](const Node* now, const Node* before) {
+        if (before)
+            count(before, -1, typeBefore);
+        count(now, 1, typeNow);
+    });
+    for (const auto& [now, before] : retyped)
+        for (const Use& u : now->uses()) {
+            if (u.user->dead || g.journaled(u.user))
+                continue;
+            const PortRef& in = u.user->input(u.index);
+            shape.tokenEdges +=
+                (now->outputType(in.port) == VT::Token ? 1 : 0) -
+                (before->outputType(in.port) == VT::Token ? 1 : 0);
+        }
+    return shape;
+}
+
 /**
  * What the pass manager knows about one graph between pass runs.
  * Every pass run is journaled (Graph::beginJournal()), so a run that
@@ -213,7 +295,42 @@ struct GraphState
     int64_t verifyRuns = 0;
     /** opt.journal.nodes_saved */
     int64_t nodesSaved = 0;
+    /** time.verify.us: the per-pass checks' wall time. */
+    int64_t verifyUs = 0;
+    /** One tally per pipeline slot. */
+    std::vector<PassTally> tally;
 };
+
+/**
+ * Write @p st's tallies to ctx.stats.  A pass name that fills two
+ * pipeline slots sums into one key, as per-run counting did; a slot
+ * that never ran leaves no keys.
+ */
+void
+flushCounters(const std::vector<std::unique_ptr<Pass>>& passes,
+              const GraphState& st, const OptContext& ctx)
+{
+    for (size_t pi = 0; pi < st.tally.size(); pi++) {
+        const PassTally& t = st.tally[pi];
+        if (t.runs == 0)
+            continue;
+        const std::string prefix =
+            std::string("opt.pass.") + passes[pi]->name();
+        ctx.count(prefix + ".runs", t.runs);
+        ctx.count(prefix + ".time_us", t.timeUs);
+        ctx.count(prefix + ".nodes_removed", t.nodesRemoved);
+        ctx.count(prefix + ".edges_removed", t.edgesRemoved);
+        ctx.count(prefix + ".token_edges_removed", t.tokenEdgesRemoved);
+        if (t.changed)
+            ctx.count(std::string("opt.") + passes[pi]->name() +
+                          ".changed",
+                      t.changed);
+    }
+    ctx.count("opt.verify.runs", st.verifyRuns);
+    ctx.count("opt.journal.nodes_saved", st.nodesSaved);
+    if (ctx.verifyAfterEachPass || ctx.checkOrdering)
+        ctx.count("time.verify.us", st.verifyUs);
+}
 
 /** Rolls the journal back on any exit that did not close it. */
 class JournalGuard
@@ -235,9 +352,8 @@ class JournalGuard
 /** Run one pass and record its span, wall time and IR/stats deltas. */
 bool
 runInstrumented(Pass& pass, Graph& g, OptContext& ctx, int round,
-                GraphState& st)
+                GraphState& st, PassTally& tally)
 {
-    using Clock = std::chrono::steady_clock;
     TraceRecorder* tracer =
         ctx.tracer && ctx.tracer->enabled() ? ctx.tracer : nullptr;
 
@@ -249,24 +365,20 @@ runInstrumented(Pass& pass, Graph& g, OptContext& ctx, int round,
     uint64_t traceStart = tracer ? tracer->nowUs() : 0;
     Clock::time_point t0 = Clock::now();
     bool changed = pass.run(g, ctx);
-    int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     Clock::now() - t0)
-                     .count();
-    IrShape after = g.journalTouched() ? measureIr(g) : before;
+    int64_t us = usSince(t0);
+    IrShape after = g.journalTouched() ? journaledShape(g, before) : before;
     st.shape = after;
     StatSet passDelta;
     if (tracer && ctx.stats)
         passDelta = ctx.stats->diff(statsBefore);
 
-    const std::string prefix = std::string("opt.pass.") + pass.name();
-    ctx.count(prefix + ".runs");
-    ctx.count(prefix + ".time_us", us);
-    ctx.count(prefix + ".nodes_removed", before.nodes - after.nodes);
-    ctx.count(prefix + ".edges_removed", before.edges - after.edges);
-    ctx.count(prefix + ".token_edges_removed",
-              before.tokenEdges - after.tokenEdges);
+    tally.runs++;
+    tally.timeUs += us;
+    tally.nodesRemoved += before.nodes - after.nodes;
+    tally.edgesRemoved += before.edges - after.edges;
+    tally.tokenEdgesRemoved += before.tokenEdges - after.tokenEdges;
     if (changed)
-        ctx.count(std::string("opt.") + pass.name() + ".changed");
+        tally.changed++;
 
     if (tracer) {
         std::vector<TraceArg> args;
@@ -296,7 +408,7 @@ runInstrumented(Pass& pass, Graph& g, OptContext& ctx, int round,
  */
 bool
 runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
-            GraphState& st, bool* failed)
+            GraphState& st, PassTally& tally, bool* failed)
 {
     *failed = false;
     const bool cleanBefore = st.clean;
@@ -310,7 +422,7 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
             ctx.faults->match("pass.throw", g.name, pass.name(), round))
             throw InjectedFault(std::string("injected fault in pass '") +
                                 pass.name() + "' on '" + g.name + "'");
-        changed = runInstrumented(pass, g, ctx, round, st);
+        changed = runInstrumented(pass, g, ctx, round, st, tally);
         if (ctx.faults) {
             const FaultSpec* fs = ctx.faults->match(
                 "graph.corrupt-token", g.name, pass.name(), round);
@@ -324,14 +436,20 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
         // The checks are pure functions of the graph: an untouched
         // graph that last passed them passes them again.
         const bool recheck = g.journalTouched() || !st.clean;
+        const Clock::time_point checksStart = Clock::now();
         if (ctx.verifyAfterEachPass && recheck) {
             st.verifyRuns++;
-            std::vector<std::string> problems = verifyGraph(g);
-            if (!problems.empty()) {
-                fail.code = ErrorCode::VerifyError;
-                fail.message =
-                    problems[0] + " (" +
-                    std::to_string(problems.size()) + " problems)";
+            // A graph that passed verification needs only what the
+            // journal touched re-verified; on a problem, the full
+            // verifier writes the report.
+            if (!st.clean || !verifyJournaled(g)) {
+                std::vector<std::string> problems = verifyGraph(g);
+                if (!problems.empty()) {
+                    fail.code = ErrorCode::VerifyError;
+                    fail.message =
+                        problems[0] + " (" +
+                        std::to_string(problems.size()) + " problems)";
+                }
             }
         }
         if (fail.code == ErrorCode::Ok && ctx.checkOrdering && recheck) {
@@ -349,6 +467,7 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
                     std::to_string(findings.size()) + " findings)";
             }
         }
+        st.verifyUs += usSince(checksStart);
     } catch (const std::exception& e) {
         // A FatalError, or a bug such as the std::out_of_range of a
         // bad Node::input() index: isolated alike.
@@ -402,6 +521,7 @@ optimizeImpl(Graph& g,
     // for the remaining rounds of this function only.
     std::vector<bool> quarantined(passes.size(), false);
     GraphState st;
+    st.tally.resize(passes.size());
     int round = 0;
     bool changed = true;
     while (changed && round < maxRounds) {
@@ -411,8 +531,8 @@ optimizeImpl(Graph& g,
             if (quarantined[pi])
                 continue;
             bool failed = false;
-            changed |=
-                runIsolated(*passes[pi], g, ctx, round, st, &failed);
+            changed |= runIsolated(*passes[pi], g, ctx, round, st,
+                                   st.tally[pi], &failed);
             if (failed) {
                 quarantined[pi] = true;
                 ctx.count("opt.quarantined_passes");
@@ -420,8 +540,7 @@ optimizeImpl(Graph& g,
         }
     }
     g.compact();
-    ctx.count("opt.verify.runs", st.verifyRuns);
-    ctx.count("opt.journal.nodes_saved", st.nodesSaved);
+    flushCounters(passes, st, ctx);
     whole.arg("rounds", round);
     if (levelName)
         whole.arg("level", levelName);

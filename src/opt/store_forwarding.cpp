@@ -33,16 +33,17 @@ class StoreForwardingPass : public Pass
             if (n->kind == NodeKind::Load && !n->storeForwarded)
                 loads.push_back(n);
         });
+        Reachability reach(g);
         for (Node* load : loads) {
             if (!load->dead)
-                changed |= forward(g, load, ctx);
+                changed |= forward(g, reach, load, ctx);
         }
         return changed;
     }
 
   private:
     bool
-    forward(Graph& g, Node* load, OptContext& ctx)
+    forward(Graph& g, Reachability& reach, Node* load, OptContext& ctx)
     {
         std::vector<PortRef> sources =
             optutil::expandTokenSources(load->input(1));
@@ -58,7 +59,6 @@ class StoreForwardingPass : public Pass
 
         // Cycle guard: the stores' predicates and data must not derive
         // from this load's output.
-        ReachabilityCache reach(g);
         for (Node* s : stores) {
             if (reach.reaches(load, s->input(0).node) ||
                 reach.reaches(load, s->input(3).node))

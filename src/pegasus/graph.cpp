@@ -240,14 +240,6 @@ Graph::numLive() const
     return c;
 }
 
-void
-Graph::forEach(const std::function<void(Node*)>& fn) const
-{
-    for (const auto& n : nodes_)
-        if (!n->dead)
-            fn(n.get());
-}
-
 std::vector<PortRef>
 Graph::tokenSources(const Node* n) const
 {

@@ -6,7 +6,6 @@
 #ifndef CASH_PEGASUS_GRAPH_H
 #define CASH_PEGASUS_GRAPH_H
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -135,6 +134,29 @@ class Graph
     /** Pre-existing nodes saved by the open journal. */
     size_t journalSavedNodes() const { return saved_.size(); }
 
+    /**
+     * Run @p fn(node, before) over every node the open journal saved
+     * or created: @p before is the saved pre-journal copy of a node
+     * that existed when the journal opened, null for a created one.
+     */
+    template <typename Fn>
+    void
+    forEachJournaled(Fn&& fn) const
+    {
+        for (const SavedNode& s : saved_)
+            fn(static_cast<const Node*>(s.slot), &s.before);
+        for (size_t i = watermark_; i < nodes_.size(); i++)
+            fn(static_cast<const Node*>(nodes_[i].get()),
+               static_cast<const Node*>(nullptr));
+    }
+
+    /** Did the open journal save or create @p n? */
+    bool
+    journaled(const Node* n) const
+    {
+        return journalOpen_ && n->journalEpoch_ == epoch_;
+    }
+
     /** Announce a direct write to a public field of @p n (see above). */
     void touch(Node* n) { save(n); }
 
@@ -151,8 +173,15 @@ class Graph
     /** Count of live nodes. */
     int numLive() const;
 
-    /** Run @p fn over every live node. */
-    void forEach(const std::function<void(Node*)>& fn) const;
+    /** Run @p fn over every live node, in node order. */
+    template <typename Fn>
+    void
+    forEach(Fn&& fn) const
+    {
+        for (const auto& n : nodes_)
+            if (!n->dead)
+                fn(n.get());
+    }
 
     /** Total number of node slots (including dead). */
     size_t size() const { return nodes_.size(); }

@@ -1,40 +1,47 @@
 #include "pegasus/reachability.h"
 
-#include <vector>
+#include <algorithm>
 
 namespace cash {
 
-const std::set<const Node*>&
-ReachabilityCache::reachableFrom(const Node* from)
+bool
+Reachability::visit(const Node* n)
 {
-    auto it = memo_.find(from);
-    if (it != memo_.end())
-        return it->second;
-
-    std::set<const Node*>& out = memo_[from];
-    std::vector<const Node*> work{from};
-    while (!work.empty()) {
-        const Node* cur = work.back();
-        work.pop_back();
-        if (out.count(cur))
-            continue;
-        out.insert(cur);
-        for (const Use& u : cur->uses()) {
-            if (u.user->dead)
-                continue;
-            if (u.user->inputIsBackEdge(u.index))
-                continue;
-            if (!out.count(u.user))
-                work.push_back(u.user);
-        }
-    }
-    return out;
+    size_t id = static_cast<size_t>(n->id);
+    if (id >= stamp_.size())
+        stamp_.resize(id + 1, 0);
+    if (stamp_[id] == epoch_)
+        return false;
+    stamp_[id] = epoch_;
+    return true;
 }
 
 bool
-ReachabilityCache::reaches(const Node* from, const Node* to)
+Reachability::reaches(const Node* from, const Node* to)
 {
-    return reachableFrom(from).count(to) != 0;
+    if (from == to)
+        return true;
+    if (++epoch_ == 0) {
+        // Stamp wrap-around: forget every old mark.
+        std::fill(stamp_.begin(), stamp_.end(), 0);
+        epoch_ = 1;
+    }
+    work_.clear();
+    visit(from);
+    work_.push_back(from);
+    while (!work_.empty()) {
+        const Node* cur = work_.back();
+        work_.pop_back();
+        for (const Use& u : cur->uses()) {
+            if (u.user->dead || u.user->inputIsBackEdge(u.index))
+                continue;
+            if (u.user == to)
+                return true;
+            if (visit(u.user))
+                work_.push_back(u.user);
+        }
+    }
+    return false;
 }
 
 } // namespace cash

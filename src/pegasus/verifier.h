@@ -22,6 +22,17 @@ namespace cash {
 std::vector<std::string> verifyGraph(const Graph& g);
 
 /**
+ * Verify what the open journal of @p g (Graph::beginJournal()) can
+ * have broken, given that @p g passed verifyGraph() when the journal
+ * opened: the per-node checks over every node the journal saved or
+ * created plus their input and user neighbours, before and after the
+ * change, and a cycle search from the producers of the forward edges
+ * the journal added.  Returns true exactly when verifyGraph(g) would
+ * return no problems; on false, call verifyGraph() for the report.
+ */
+bool verifyJournaled(const Graph& g);
+
+/**
  * Verify and raise a recoverable FatalError naming the first problem.
  * Callers that can degrade gracefully (the pass manager's rollback
  * path) use verifyGraph() directly instead.

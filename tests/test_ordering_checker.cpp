@@ -431,7 +431,8 @@ TEST(OrderingChecker, QueriesAreConsistentOnCompiledGraphs)
     ASSERT_TRUE(r.ok());
     const Graph* g = r.graph("fill");
     ASSERT_NE(g, nullptr);
-    OrderingChecker checker(*g, &r.cfg->oracle, r.layout.get());
+    OrderingChecker checker(*g, &r.cfg->oracle, r.layout.get(),
+                            /*interproc=*/nullptr);
 
     EXPECT_FALSE(checker.sideEffects().empty());
     EXPECT_FALSE(checker.tokenNodes().empty());

@@ -107,7 +107,7 @@ TEST(Reachability, ForwardOnly)
     Node* c = g.newConst(3, VT::Word, 0);
     Node* a = g.newArith1(Op::Neg, {c, 0}, 0);
     Node* b = g.newArith1(Op::BitNot, {a, 0}, 0);
-    ReachabilityCache reach(g);
+    Reachability reach(g);
     EXPECT_TRUE(reach.reaches(c, b));
     EXPECT_TRUE(reach.reaches(a, b));
     EXPECT_FALSE(reach.reaches(b, a));
@@ -131,7 +131,7 @@ TEST(Reachability, StopsAtBackEdges)
     merge->deciderIndex = merge->numInputs();
     g.addInput(merge, {pred, 0}, /*backEdge=*/true);
 
-    ReachabilityCache reach(g);
+    Reachability reach(g);
     EXPECT_TRUE(reach.reaches(merge, eta));
     // ...but not around the loop: the merge's eta input is flagged as
     // a back edge, so the cycle is invisible to forward reachability.
