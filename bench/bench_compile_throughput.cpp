@@ -19,10 +19,13 @@
  *
  * Each -j1 row also reports `manager_share`: the share of
  * `time.optimize.us` spent outside pass bodies (the `opt.pass.*.time_us`
- * counters) — pass-manager overhead, verification included.  Being a
- * ratio of two times measured in one process, it compares across
- * machines, and meta `manager_share_j1` (wide and suite together) is
- * what CI gates against bench/baselines/BENCH_compile_throughput.json.
+ * counters) — pass-manager overhead, verification included — and
+ * `cleanup_share`: the share of pass-body time spent in the scalar
+ * cleanup passes, `scalar_opts` and `dead_code`.  Being ratios of two
+ * times measured in one process, they compare across machines, and
+ * metas `manager_share_j1` and `cleanup_share_j1` (wide and suite
+ * together) are what CI gates against
+ * bench/baselines/BENCH_compile_throughput.json.
  */
 #include <chrono>
 
@@ -80,6 +83,7 @@ struct Measurement
     std::string fingerprint; ///< Determinism cross-check.
     int64_t optimizeUs = 0;  ///< Sum of time.optimize.us.
     int64_t passBodyUs = 0;  ///< Sum of opt.pass.*.time_us.
+    int64_t cleanupUs = 0;   ///< ...of which scalar_opts and dead_code.
 
     void
     addTimes(const StatSet& stats)
@@ -89,6 +93,16 @@ struct Measurement
             if (k.rfind("opt.pass.", 0) == 0 && k.size() > 8 &&
                 k.compare(k.size() - 8, 8, ".time_us") == 0)
                 passBodyUs += v;
+        cleanupUs += stats.get("opt.pass.scalar_opts.time_us") +
+                     stats.get("opt.pass.dead_code.time_us");
+    }
+
+    void
+    addSerialTimes(const Measurement& m)
+    {
+        optimizeUs += m.optimizeUs;
+        passBodyUs += m.passBodyUs;
+        cleanupUs += m.cleanupUs;
     }
 
     /** Share of optimize time outside pass bodies; 0 when unmeasured. */
@@ -99,6 +113,16 @@ struct Measurement
                    ? static_cast<double>(optimizeUs - passBodyUs) /
                          static_cast<double>(optimizeUs)
                    : 0;
+    }
+
+    /** Share of pass-body time in the cleanup passes; 0 when
+     *  unmeasured. */
+    double
+    cleanupShare() const
+    {
+        return passBodyUs > 0 ? static_cast<double>(cleanupUs) /
+                                    static_cast<double>(passBodyUs)
+                              : 0;
     }
 };
 
@@ -156,17 +180,19 @@ reportRows(benchutil::BenchReport& report, const std::string& workload,
     // Pass bodies of concurrent workers overlap in wall time: the
     // share only means something serially.
     double share = jobs == 1 ? m.managerShare() : 0;
+    double cleanup = jobs == 1 ? m.cleanupShare() : 0;
     report.addRow({{"workload", workload},
                    {"jobs", jobs},
                    {"functions", m.functions},
                    {"wall_us", static_cast<int64_t>(m.wallUs)},
                    {"funcs_per_sec", perSec},
                    {"speedup_vs_j1", speedup},
-                   {"manager_share", share}});
-    std::printf("%-8s %5d %10lld %12.0f %14.0f %10.2fx %9.3f\n",
+                   {"manager_share", share},
+                   {"cleanup_share", cleanup}});
+    std::printf("%-8s %5d %10lld %12.0f %14.0f %10.2fx %9.3f %9.3f\n",
                 workload.c_str(), jobs,
                 static_cast<long long>(m.functions), m.wallUs, perSec,
-                speedup, share);
+                speedup, share, cleanup);
 }
 
 } // namespace
@@ -191,9 +217,10 @@ main()
     std::printf("(%d hardware threads; wide = one %d-function unit, "
                 "suite = Table-2 kernels)\n\n",
                 hw, wideFuncs);
-    std::printf("%-8s %5s %10s %12s %14s %11s %9s\n", "workload", "jobs",
-                "functions", "wall_us", "funcs/sec", "speedup", "mgr_share");
-    benchutil::rule(76);
+    std::printf("%-8s %5s %10s %12s %14s %11s %9s %9s\n", "workload",
+                "jobs", "functions", "wall_us", "funcs/sec", "speedup",
+                "mgr_share", "cln_share");
+    benchutil::rule(86);
 
     benchutil::BenchReport report("compile_throughput");
     report.meta("hardware_threads", hw);
@@ -213,8 +240,7 @@ main()
         if (jobs == 1) {
             baseWideUs = mw.wallUs;
             wantWide = mw.fingerprint;
-            serial.optimizeUs += mw.optimizeUs;
-            serial.passBodyUs += mw.passBodyUs;
+            serial.addSerialTimes(mw);
         } else if (mw.fingerprint != wantWide) {
             std::fprintf(stderr,
                          "bench: -j%d wide compile diverged from -j1\n",
@@ -228,8 +254,7 @@ main()
         if (jobs == 1) {
             baseSuiteUs = ms.wallUs;
             wantSuite = ms.fingerprint;
-            serial.optimizeUs += ms.optimizeUs;
-            serial.passBodyUs += ms.passBodyUs;
+            serial.addSerialTimes(ms);
         } else if (ms.fingerprint != wantSuite) {
             std::fprintf(stderr,
                          "bench: -j%d suite compile diverged from -j1\n",
@@ -240,8 +265,12 @@ main()
     }
 
     report.meta("manager_share_j1", serial.managerShare());
+    report.meta("cleanup_share_j1", serial.cleanupShare());
     std::printf("\npass-manager share of -j1 optimize time: %.3f\n",
                 serial.managerShare());
+    std::printf("cleanup (scalar_opts + dead_code) share of -j1 pass-body "
+                "time: %.3f\n",
+                serial.cleanupShare());
     report.write();
     return 0;
 }

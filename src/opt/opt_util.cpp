@@ -139,5 +139,25 @@ directTokenConsumers(const Node* from)
     return out;
 }
 
+void
+SweepWorklist::reset(const Graph& g)
+{
+    g_ = &g;
+    cursor_ = limit_ = 0;
+    const size_t ids = static_cast<size_t>(g.idLimit());
+    dense_ = g.size() == ids;
+    bits_.assign((ids + 63) / 64, 0);
+    byId_.clear();
+    if (dense_) {
+        // Slot i holds id i: mark them all at once.
+        std::fill(bits_.begin(), bits_.end(), ~uint64_t{0});
+        if (ids % 64)
+            bits_.back() = (uint64_t{1} << (ids % 64)) - 1;
+        return;
+    }
+    for (size_t i = 0; i < g.size(); i++)
+        mark(g.node(i));
+}
+
 } // namespace optutil
 } // namespace cash

@@ -1,7 +1,7 @@
 #include "pegasus/builder.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 
 #include "cfg/dominators.h"
 #include "cfg/hyperblock.h"
@@ -13,6 +13,106 @@
 namespace cash {
 
 namespace {
+
+/**
+ * (block, register) -> value for the hyperblock being built: open
+ * addressing with an epoch per entry, so clear() costs nothing.
+ */
+class BlockRegMap
+{
+  public:
+    /** Forget every entry. */
+    void
+    clear()
+    {
+        epoch_++;
+        used_ = 0;
+    }
+
+    /** The value of (@p block, @p reg) into @p out; false if unset. */
+    bool
+    find(int block, int reg, PortRef* out) const
+    {
+        if (slots_.empty())
+            return false;
+        const uint64_t key = pack(block, reg);
+        const size_t mask = slots_.size() - 1;
+        for (size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+            const Entry& e = slots_[i];
+            if (e.epoch != epoch_)
+                return false;
+            if (e.key == key) {
+                *out = e.value;
+                return true;
+            }
+        }
+    }
+
+    void
+    set(int block, int reg, PortRef value)
+    {
+        if (2 * (used_ + 1) > slots_.size())
+            grow();
+        const uint64_t key = pack(block, reg);
+        const size_t mask = slots_.size() - 1;
+        for (size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+            Entry& e = slots_[i];
+            if (e.epoch != epoch_) {
+                e = {key, epoch_, value};
+                used_++;
+                return;
+            }
+            if (e.key == key) {
+                e.value = value;
+                return;
+            }
+        }
+    }
+
+  private:
+    struct Entry
+    {
+        uint64_t key = 0;
+        uint32_t epoch = 0;  ///< Set in the current epoch_ only.
+        PortRef value;
+    };
+
+    std::vector<Entry> slots_;
+    uint32_t epoch_ = 1;
+    size_t used_ = 0;
+
+    static uint64_t
+    pack(int block, int reg)
+    {
+        return static_cast<uint64_t>(static_cast<uint32_t>(block)) << 32 |
+               static_cast<uint32_t>(reg);
+    }
+
+    static size_t
+    hash(uint64_t key)
+    {
+        key *= 0x9e3779b97f4a7c15ull;
+        return static_cast<size_t>(key ^ (key >> 29));
+    }
+
+    void
+    grow()
+    {
+        std::vector<Entry> old;
+        old.swap(slots_);
+        slots_.assign(old.empty() ? 64 : 2 * old.size(), Entry{});
+        const uint32_t epoch = epoch_;
+        epoch_ = 1;
+        used_ = 0;
+        for (const Entry& e : old) {
+            if (e.epoch != epoch)
+                continue;
+            const int block = static_cast<int>(e.key >> 32);
+            const int reg = static_cast<int>(e.key & 0xffffffffu);
+            set(block, reg, e.value);
+        }
+    }
+};
 
 /**
  * Builds the Pegasus graph of one function.
@@ -47,6 +147,15 @@ class GraphBuilder
             parts_.memOpPartition.assign(fn_.numMemOps, 0);
         }
         g_->numPartitions = parts_.numPartitions;
+
+        const size_t numHbs = hbp_.hyperblocks().size();
+        scalarMerge_.assign(numHbs, {});
+        ctrlMerge_.assign(numHbs, nullptr);
+        continuePred_.assign(numHbs, PortRef{});
+        ringMerge_.assign(numHbs * static_cast<size_t>(parts_.numPartitions),
+                          nullptr);
+        constCache_.assign(numHbs, {});
+        blockPred_.assign(fn_.blocks.size(), PortRef{});
 
         // Distinguished inputs.
         for (int p = 0; p < fn_.numParams; p++) {
@@ -104,14 +213,16 @@ class GraphBuilder
             // all data in the hyperblock is constant.
             {
                 Node* cm = g_->newNode(NodeKind::Merge, VT::Pred, hb.id);
-                ctrlMerge_[hb.id] = cm;
+                ctrlMerge_[static_cast<size_t>(hb.id)] = cm;
                 if (hb.id == entryHb_)
                     g_->addInput(cm, {constNode(hb.id, 1, VT::Pred), 0});
             }
             // Scalar merges for every register live into the header.
+            std::vector<Node*>& merges =
+                scalarMerge_[static_cast<size_t>(hb.id)];
             for (int reg : live_.liveIn(hb.header)) {
                 Node* m = g_->newNode(NodeKind::Merge, VT::Word, hb.id);
-                scalarMerge_[{hb.id, reg}] = m;
+                merges.push_back(m);
                 if (hb.id == entryHb_)
                     g_->addInput(m, entryValueOf(reg));
             }
@@ -119,6 +230,7 @@ class GraphBuilder
             for (int p = 0; p < parts_.numPartitions; p++) {
                 Node* m = g_->newNode(NodeKind::Merge, VT::Token, hb.id);
                 g_->ringMerge[{hb.id, p}] = m;
+                ringMerge_[ringIndex(hb.id, p)] = m;
                 if (hb.id == entryHb_)
                     g_->addInput(m, {g_->initialToken, 0});
             }
@@ -143,12 +255,13 @@ class GraphBuilder
     Node*
     constNode(int hb, int64_t v, VT vt)
     {
-        auto key = std::make_tuple(hb, v, vt);
-        auto it = constCache_.find(key);
-        if (it != constCache_.end())
-            return it->second;
+        std::vector<CachedConst>& cache =
+            constCache_[static_cast<size_t>(hb)];
+        for (const CachedConst& c : cache)
+            if (c.value == v && c.type == vt)
+                return c.node;
         Node* n = g_->newConst(v, vt, hb);
-        constCache_[key] = n;
+        cache.push_back({v, vt, n});
         return n;
     }
 
@@ -208,13 +321,14 @@ class GraphBuilder
             return {constNode(hb, v.node->constValue != 0, VT::Pred), 0};
         if (v.node->kind == NodeKind::Arith && opIsCompare(v.node->op)) {
             // Recreate the comparison as a predicate-typed node.
-            auto key = std::make_pair(v.node, 0);
-            auto it = predView_.find(key);
-            if (it != predView_.end())
-                return {it->second, 0};
+            const size_t id = static_cast<size_t>(v.node->id);
+            if (id < predView_.size() && predView_[id])
+                return {predView_[id], 0};
             Node* n = g_->newArith(v.node->op, v.node->input(0),
                                    v.node->input(1), hb, VT::Pred);
-            predView_[key] = n;
+            if (id >= predView_.size())
+                predView_.resize(id + 1, nullptr);
+            predView_[id] = n;
             return {n, 0};
         }
         return {g_->newArith(Op::Ne, v, {constNode(hb, 0, VT::Word), 0},
@@ -232,14 +346,15 @@ class GraphBuilder
         int block = -1;
         int order = -1;
         bool isRead = false;
-        LocationSet rw;
+        const LocationSet* rw = nullptr;  ///< The node's rwSet, or top.
         int part = -1;  ///< -1 = touches every partition (call/return).
     };
 
     void
     processHyperblock(const Hyperblock& hb)
     {
-        blockPred_.clear();
+        for (int b : hb.blocks)
+            blockPred_[static_cast<size_t>(b)] = PortRef{};
         outMap_.clear();
         inMemo_.clear();
         tops_.clear();
@@ -261,11 +376,10 @@ class GraphBuilder
     {
         const Hyperblock& hb = *curHb_;
         if (b == hb.header) {
-            auto cm = ctrlMerge_.find(hb.id);
-            blockPred_[b] = cm != ctrlMerge_.end()
-                                ? PortRef{cm->second, 0}
-                                : PortRef{constNode(hb.id, 1, VT::Pred),
-                                          0};
+            Node* cm = ctrlMerge_[static_cast<size_t>(hb.id)];
+            blockPred_[static_cast<size_t>(b)] =
+                cm ? PortRef{cm, 0}
+                   : PortRef{constNode(hb.id, 1, VT::Pred), 0};
             return;
         }
         PortRef acc{};
@@ -278,7 +392,7 @@ class GraphBuilder
             acc = acc.valid() ? predOr(acc, pathPred, hb.id) : pathPred;
         }
         CASH_ASSERT(acc.valid(), "block without in-hyperblock preds");
-        blockPred_[b] = acc;
+        blockPred_[static_cast<size_t>(b)] = acc;
     }
 
     /** Predicate of CFG edge p→b: blockPred(p) ∧ branch condition. */
@@ -286,7 +400,7 @@ class GraphBuilder
     edgePred(int p, int b)
     {
         const Terminator& t = fn_.block(p)->term;
-        PortRef bp = blockPred_.at(p);
+        PortRef bp = blockPredOf(p);
         if (t.kind == Terminator::Kind::Jump)
             return bp;
         CASH_ASSERT(t.kind == Terminator::Kind::CondBranch,
@@ -308,10 +422,9 @@ class GraphBuilder
     PortRef
     lookup(int b, int reg)
     {
-        auto& om = outMap_[b];
-        auto it = om.find(reg);
-        if (it != om.end())
-            return it->second;
+        PortRef v;
+        if (outMap_.find(b, reg, &v))
+            return v;
         return inValue(b, reg);
     }
 
@@ -319,10 +432,9 @@ class GraphBuilder
     PortRef
     inValue(int b, int reg)
     {
-        auto key = std::make_pair(b, reg);
-        auto memo = inMemo_.find(key);
-        if (memo != inMemo_.end())
-            return memo->second;
+        PortRef memo;
+        if (inMemo_.find(b, reg, &memo))
+            return memo;
 
         const Hyperblock& hb = *curHb_;
         PortRef result;
@@ -355,7 +467,7 @@ class GraphBuilder
                 result = {mux, 0};
             }
         }
-        inMemo_[key] = result;
+        inMemo_.set(b, reg, result);
         return result;
     }
 
@@ -363,9 +475,8 @@ class GraphBuilder
     headerValue(int reg)
     {
         const Hyperblock& hb = *curHb_;
-        auto it = scalarMerge_.find({hb.id, reg});
-        if (it != scalarMerge_.end())
-            return {it->second, 0};
+        if (Node* m = scalarMergeOf(hb, reg))
+            return {m, 0};
         if (hb.id == entryHb_)
             return entryValueOf(reg);
         // Not live into the header: a definition must precede any use,
@@ -395,17 +506,17 @@ class GraphBuilder
               case InstrKind::Bin: {
                 Node* n = g_->newArith(i.op, operandValue(b, i.a),
                                        operandValue(b, i.b), hb.id);
-                outMap_[b][i.dst] = {n, 0};
+                outMap_.set(b, i.dst, {n, 0});
                 break;
               }
               case InstrKind::Un: {
                 Node* n = g_->newArith1(i.op, operandValue(b, i.a),
                                         hb.id);
-                outMap_[b][i.dst] = {n, 0};
+                outMap_.set(b, i.dst, {n, 0});
                 break;
               }
               case InstrKind::Copy:
-                outMap_[b][i.dst] = operandValue(b, i.a);
+                outMap_.set(b, i.dst, operandValue(b, i.a));
                 break;
               case InstrKind::Load: {
                 Node* n = g_->newNode(NodeKind::Load, VT::Word, hb.id);
@@ -417,12 +528,12 @@ class GraphBuilder
                     i.memId >= 0 ? parts_.memOpPartition[i.memId] : 0;
                 n->memId = i.memId;
                 n->loc = i.loc;
-                g_->addInput(n, blockPred_.at(b));
+                g_->addInput(n, blockPredOf(b));
                 g_->addInput(n, {g_->initialToken, 0});  // placeholder
                 g_->addInput(n, operandValue(b, i.addr));
-                outMap_[b][i.dst] = {n, 0};
+                outMap_.set(b, i.dst, {n, 0});
                 tops_.push_back({n, b, static_cast<int>(tops_.size()),
-                                 true, n->rwSet, n->partition});
+                                 true, &n->rwSet, n->partition});
                 break;
               }
               case InstrKind::Store: {
@@ -434,12 +545,12 @@ class GraphBuilder
                     i.memId >= 0 ? parts_.memOpPartition[i.memId] : 0;
                 n->memId = i.memId;
                 n->loc = i.loc;
-                g_->addInput(n, blockPred_.at(b));
+                g_->addInput(n, blockPredOf(b));
                 g_->addInput(n, {g_->initialToken, 0});  // placeholder
                 g_->addInput(n, operandValue(b, i.addr));
                 g_->addInput(n, operandValue(b, i.value));
                 tops_.push_back({n, b, static_cast<int>(tops_.size()),
-                                 false, n->rwSet, n->partition});
+                                 false, &n->rwSet, n->partition});
                 break;
               }
               case InstrKind::Call: {
@@ -463,15 +574,15 @@ class GraphBuilder
                 n->rwSet = rw;
                 n->partition = -1;
                 n->loc = i.loc;
-                g_->addInput(n, blockPred_.at(b));
+                g_->addInput(n, blockPredOf(b));
                 g_->addInput(n, {g_->initialToken, 0});  // placeholder
                 for (const Operand& a : i.args)
                     g_->addInput(n, operandValue(b, a));
                 if (i.dst >= 0)
-                    outMap_[b][i.dst] = {n, 0};
+                    outMap_.set(b, i.dst, {n, 0});
                 tops_.push_back({n, b, static_cast<int>(tops_.size()),
-                                 refined && i.callWrites.empty(), rw,
-                                 -1});
+                                 refined && i.callWrites.empty(),
+                                 &n->rwSet, -1});
                 break;
               }
             }
@@ -480,13 +591,13 @@ class GraphBuilder
         const Terminator& t = fn_.block(b)->term;
         if (t.kind == Terminator::Kind::Return) {
             Node* n = g_->newNode(NodeKind::Return, VT::Word, hb.id);
-            g_->addInput(n, blockPred_.at(b));
+            g_->addInput(n, blockPredOf(b));
             g_->addInput(n, {g_->initialToken, 0});  // placeholder
             if (!t.retValue.isNone())
                 g_->addInput(n, operandValue(b, t.retValue));
             g_->returnNodes.push_back(n);
             tops_.push_back({n, b, static_cast<int>(tops_.size()),
-                             false, LocationSet::top(), -1});
+                             false, &topSet_, -1});
         }
     }
 
@@ -498,9 +609,8 @@ class GraphBuilder
     PortRef
     entryTokenSource(const Hyperblock& hb, int p)
     {
-        auto it = g_->ringMerge.find({hb.id, p});
-        if (it != g_->ringMerge.end())
-            return {it->second, 0};
+        if (Node* m = ringMerge_[ringIndex(hb.id, p)])
+            return {m, 0};
         CASH_ASSERT(hb.id == entryHb_, "missing ring merge");
         return {g_->initialToken, 0};
     }
@@ -513,7 +623,7 @@ class GraphBuilder
             return false;
         if (!opts_.usePointsTo)
             return true;
-        return cfg_.oracle.mayOverlap(a.rw, b.rw);
+        return cfg_.oracle.mayOverlap(*a.rw, *b.rw);
     }
 
     /** Does op @p o touch partition @p p? */
@@ -531,7 +641,18 @@ class GraphBuilder
         // DAG nodes: [0,k) real ops, [k,k+np) entry virtuals,
         // [k+np,k+2np) exit virtuals.
         int n = k + 2 * np;
-        std::vector<std::vector<char>> edge(n, std::vector<char>(n, 0));
+        // The DAG's edges and its closure, one bitset row per node.
+        const size_t words = (static_cast<size_t>(n) + 63) / 64;
+        auto row = [words](std::vector<uint64_t>& bits, int i) {
+            return bits.data() + static_cast<size_t>(i) * words;
+        };
+        auto has = [](const uint64_t* r, int j) {
+            return ((r[j >> 6] >> (j & 63)) & 1) != 0;
+        };
+        auto add = [](uint64_t* r, int j) {
+            r[j >> 6] |= uint64_t{1} << (j & 63);
+        };
+        edge_.assign(static_cast<size_t>(n) * words, 0);
 
         bool hasExits = !hb.exits.empty();
         // Which blocks can reach a (non-return) exit edge.
@@ -552,7 +673,7 @@ class GraphBuilder
             for (int j = i + 1; j < k; j++)
                 if (hasPath(tops_[i], tops_[j]) &&
                     conflicts(tops_[i], tops_[j]))
-                    edge[i][j] = 1;
+                    add(row(edge_, i), j);
         }
         for (int p = 0; p < np; p++) {
             int ev = k + p;
@@ -560,35 +681,48 @@ class GraphBuilder
             for (int i = 0; i < k; i++) {
                 if (!touchesPartition(tops_[i], p))
                     continue;
-                edge[ev][i] = 1;
+                add(row(edge_, ev), i);
                 if (hasExits && tops_[i].node->numOutputs() > 0 &&
                     reachesExit(tops_[i].block))
-                    edge[i][xv] = 1;
+                    add(row(edge_, i), xv);
             }
             if (hasExits)
-                edge[ev][xv] = 1;
+                add(row(edge_, ev), xv);
         }
 
         // Transitive reduction: drop every edge implied by a longer
-        // path (the §3.4 invariant).
-        std::vector<std::vector<char>> reach = edge;
-        // Floyd-Warshall-style closure over the small DAG.
+        // path (the §3.4 invariant).  Warshall's closure over the
+        // small DAG, a row at a time.
+        reach_ = edge_;
         for (int m = 0; m < n; m++)
             for (int i = 0; i < n; i++)
-                if (reach[i][m])
-                    for (int j = 0; j < n; j++)
-                        if (reach[m][j])
-                            reach[i][j] = 1;
+                if (has(row(reach_, i), m))
+                    for (size_t w = 0; w < words; w++)
+                        row(reach_, i)[w] |= row(reach_, m)[w];
+        // Column j of the closure: the nodes that reach j.
+        reachedBy_.assign(static_cast<size_t>(n) * words, 0);
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++)
+                if (has(row(reach_, i), j))
+                    add(row(reachedBy_, j), i);
+        // An edge i→j goes when some m other than i and j has i→m and
+        // m→j in the closure (the closure holds every edge, so edges
+        // already dropped change nothing).
         for (int i = 0; i < n; i++) {
             for (int j = 0; j < n; j++) {
-                if (!edge[i][j])
+                if (!has(row(edge_, i), j))
                     continue;
-                // Is there an intermediate m with i→m ∧ m→j?
-                for (int m = 0; m < n; m++) {
-                    if (m == i || m == j)
-                        continue;
-                    if ((edge[i][m] || reach[i][m]) && reach[m][j]) {
-                        edge[i][j] = 0;
+                const uint64_t* from = row(reach_, i);
+                const uint64_t* to = row(reachedBy_, j);
+                for (size_t w = 0; w < words; w++) {
+                    uint64_t via = from[w] & to[w];
+                    if (w == static_cast<size_t>(i >> 6))
+                        via &= ~(uint64_t{1} << (i & 63));
+                    if (w == static_cast<size_t>(j >> 6))
+                        via &= ~(uint64_t{1} << (j & 63));
+                    if (via) {
+                        row(edge_, i)[j >> 6] &=
+                            ~(uint64_t{1} << (j & 63));
                         break;
                     }
                 }
@@ -621,7 +755,7 @@ class GraphBuilder
         for (int j = 0; j < k; j++) {
             std::vector<PortRef> srcs;
             for (int i = 0; i < n; i++) {
-                if (i == j || !edge[i][j])
+                if (i == j || !has(row(edge_, i), j))
                     continue;
                 PortRef t = tokenOutOf(i);
                 if (std::find(srcs.begin(), srcs.end(), t) == srcs.end())
@@ -639,7 +773,7 @@ class GraphBuilder
                 int xv = k + np + p;
                 std::vector<PortRef> srcs;
                 for (int i = 0; i < k + np; i++) {
-                    if (!edge[i][xv])
+                    if (!has(row(edge_, i), xv))
                         continue;
                     PortRef t = tokenOutOf(i);
                     if (std::find(srcs.begin(), srcs.end(), t) ==
@@ -700,8 +834,7 @@ class GraphBuilder
             PortRef p = exitEdgePred(e);
             cont = cont.valid() ? predOr(cont, p, hb.id) : p;
         }
-        if (cont.valid())
-            continuePred_[hb.id] = cont;
+        continuePred_[static_cast<size_t>(hb.id)] = cont;
     }
 
     void
@@ -716,11 +849,12 @@ class GraphBuilder
                     hasBack = true;
             if (!hasBack)
                 return;
-            auto it = continuePred_.find(m->hyperblock);
-            CASH_ASSERT(it != continuePred_.end(),
+            const PortRef cont =
+                continuePred_[static_cast<size_t>(m->hyperblock)];
+            CASH_ASSERT(cont.valid(),
                         "mu-merge without a continue predicate");
             m->deciderIndex = m->numInputs();
-            g_->addInput(m, it->second, /*backEdge=*/true);
+            g_->addInput(m, cont, /*backEdge=*/true);
         });
     }
 
@@ -732,27 +866,24 @@ class GraphBuilder
             PortRef predE = exitEdgePred(e);
             const Hyperblock& target = hbp_.hb(e.targetHb);
             // Control pulse.
-            auto cm = ctrlMerge_.find(target.id);
-            CASH_ASSERT(cm != ctrlMerge_.end(),
-                        "exit into hyperblock without control merge");
-            addEdgeDelivery(cm->second,
+            Node* cm = ctrlMerge_[static_cast<size_t>(target.id)];
+            CASH_ASSERT(cm, "exit into hyperblock without control merge");
+            addEdgeDelivery(cm,
                             {constNode(hb.id, 1, VT::Pred), 0}, predE,
                             e.isBackEdge, hb.id, VT::Pred);
             // Scalar etas for registers the target has merges for.
-            for (int reg : live_.liveIn(target.header)) {
-                auto it = scalarMerge_.find({target.id, reg});
-                if (it == scalarMerge_.end())
-                    continue;
-                addEdgeDelivery(it->second, lookup(e.srcBlock, reg),
+            const std::vector<Node*>& merges =
+                scalarMerge_[static_cast<size_t>(target.id)];
+            const std::vector<int>& regs = live_.liveIn(target.header);
+            for (size_t k = 0; k < merges.size(); k++)
+                addEdgeDelivery(merges[k], lookup(e.srcBlock, regs[k]),
                                 predE, e.isBackEdge, hb.id, VT::Word);
-            }
             // Token etas, one per partition ring.
             for (int p = 0; p < parts_.numPartitions; p++) {
-                auto it = g_->ringMerge.find({target.id, p});
-                CASH_ASSERT(it != g_->ringMerge.end(),
-                            "target hyperblock lacks ring merge");
-                addEdgeDelivery(it->second, exitToken_.at(p), predE,
-                                e.isBackEdge, hb.id, VT::Token);
+                Node* m = ringMerge_[ringIndex(target.id, p)];
+                CASH_ASSERT(m, "target hyperblock lacks ring merge");
+                addEdgeDelivery(m, exitToken_.at(p), predE, e.isBackEdge,
+                                hb.id, VT::Token);
             }
         }
     }
@@ -761,7 +892,7 @@ class GraphBuilder
     exitEdgePred(const HbExit& e)
     {
         const Terminator& t = fn_.block(e.srcBlock)->term;
-        PortRef bp = blockPred_.at(e.srcBlock);
+        PortRef bp = blockPredOf(e.srcBlock);
         if (t.kind == Terminator::Kind::Jump)
             return bp;
         CASH_ASSERT(t.kind == Terminator::Kind::CondBranch,
@@ -773,6 +904,39 @@ class GraphBuilder
         if (t.target0 == e.dstBlock)
             return predAnd(bp, cond, curHb_->id);
         return predAnd(bp, predNot(cond, curHb_->id), curHb_->id);
+    }
+
+    size_t
+    ringIndex(int hb, int p) const
+    {
+        return static_cast<size_t>(hb) *
+                   static_cast<size_t>(parts_.numPartitions) +
+               static_cast<size_t>(p);
+    }
+
+    /** The scalar merge of @p reg in @p hb's header; null if none. */
+    Node*
+    scalarMergeOf(const Hyperblock& hb, int reg) const
+    {
+        const std::vector<Node*>& merges =
+            scalarMerge_[static_cast<size_t>(hb.id)];
+        if (merges.empty())
+            return nullptr;
+        const std::vector<int>& regs = live_.liveIn(hb.header);
+        auto it = std::lower_bound(regs.begin(), regs.end(), reg);
+        if (it == regs.end() || *it != reg)
+            return nullptr;
+        return merges[static_cast<size_t>(it - regs.begin())];
+    }
+
+    /** The predicate of block @p b, computed earlier in this
+     *  hyperblock. */
+    PortRef
+    blockPredOf(int b) const
+    {
+        PortRef p = blockPred_.at(static_cast<size_t>(b));
+        CASH_ASSERT(p.valid(), "block predicate used before it is known");
+        return p;
     }
 
     // =================================================================
@@ -791,19 +955,40 @@ class GraphBuilder
     std::unique_ptr<Graph> g_;
     int entryHb_ = 0;
 
-    std::map<std::pair<int, int>, Node*> scalarMerge_;
-    std::map<int, Node*> ctrlMerge_;
-    std::map<int, PortRef> continuePred_;
-    std::map<std::tuple<int, int64_t, VT>, Node*> constCache_;
-    std::map<std::pair<Node*, int>, Node*> predView_;
+    // Tables indexed by hyperblock, block or node id.
+    /** Per hyperblock: the scalar merge of each register live into its
+     *  header, parallel to live_.liveIn(header) (ascending). */
+    std::vector<std::vector<Node*>> scalarMerge_;
+    std::vector<Node*> ctrlMerge_;
+    /** Loop-continuation decider per hyperblock (invalid: none). */
+    std::vector<PortRef> continuePred_;
+    /** g_->ringMerge, at ringIndex(hyperblock, partition). */
+    std::vector<Node*> ringMerge_;
+    struct CachedConst
+    {
+        int64_t value;
+        VT type;
+        Node* node;
+    };
+    /** Per hyperblock: its constants, each made once. */
+    std::vector<std::vector<CachedConst>> constCache_;
+    /** Per comparison node id: its predicate-typed twin. */
+    std::vector<Node*> predView_;
 
     // Per-hyperblock transient state.
     const Hyperblock* curHb_ = nullptr;
-    std::map<int, PortRef> blockPred_;
-    std::map<int, std::map<int, PortRef>> outMap_;
-    std::map<std::pair<int, int>, PortRef> inMemo_;
+    /** Per block id of the current hyperblock: its predicate. */
+    std::vector<PortRef> blockPred_;
+    /** Value of a register at the end / the entry of a block. */
+    BlockRegMap outMap_, inMemo_;
     std::vector<TOp> tops_;
+    /** The read/write set of a return, which orders against
+     *  everything. */
+    const LocationSet topSet_ = LocationSet::top();
     std::vector<PortRef> exitToken_;
+    /** wireTokens()' bitset rows: the token DAG, its closure, and the
+     *  closure's columns. */
+    std::vector<uint64_t> edge_, reach_, reachedBy_;
 };
 
 } // namespace

@@ -1,22 +1,36 @@
 #include "pegasus/graph.h"
 
 #include <algorithm>
+#include <new>
 #include <set>
 
 namespace cash {
 
+Graph::~Graph()
+{
+    for (size_t i = 0; i < slotsUsed_; i++)
+        chunks_[i / kChunkNodes][i % kChunkNodes].~Node();
+    for (Node* chunk : chunks_)
+        ::operator delete(chunk);
+}
+
 Node*
 Graph::newNode(NodeKind kind, VT type, int hyperblock)
 {
-    auto n = std::make_unique<Node>();
+    if (slotsUsed_ == chunks_.size() * kChunkNodes)
+        chunks_.push_back(
+            static_cast<Node*>(::operator new(kChunkNodes * sizeof(Node))));
+    Node* n = new (&chunks_[slotsUsed_ / kChunkNodes]
+                           [slotsUsed_ % kChunkNodes]) Node();
+    slotsUsed_++;
     n->id = nextId_++;
     n->kind = kind;
     n->type = type;
     n->hyperblock = hyperblock;
     // New under the open journal: rollback drops it, never restores it.
     n->journalEpoch_ = epoch_;
-    nodes_.push_back(std::move(n));
-    return nodes_.back().get();
+    nodes_.push_back(n);
+    return n;
 }
 
 Node*
@@ -32,6 +46,7 @@ Graph::newArith(Op op, PortRef a, PortRef b, int hyperblock, VT type)
 {
     Node* n = newNode(NodeKind::Arith, type, hyperblock);
     n->op = op;
+    n->inputs_.reserve(2);
     addInput(n, a);
     addInput(n, b);
     return n;
@@ -65,7 +80,10 @@ Graph::addInput(Node* n, PortRef v, bool backEdge)
     save(n);
     save(v.node);
     n->inputs_.push_back(v);
-    n->backEdge_.push_back(backEdge);
+    if (backEdge || !n->backEdge_.empty()) {
+        n->backEdge_.resize(n->inputs_.size() - 1, false);
+        n->backEdge_.push_back(backEdge);
+    }
     v.node->uses_.push_back({n, static_cast<int>(n->inputs_.size()) - 1});
 }
 
@@ -125,10 +143,12 @@ Graph::removeInput(Node* n, int index)
             }
         }
         n->inputs_[i - 1] = in;
-        n->backEdge_[i - 1] = n->backEdge_[i];
+        if (!n->backEdge_.empty())
+            n->backEdge_[i - 1] = n->backEdge_[i];
     }
     n->inputs_.pop_back();
-    n->backEdge_.pop_back();
+    if (!n->backEdge_.empty())
+        n->backEdge_.pop_back();
 }
 
 void
@@ -146,11 +166,11 @@ Graph::replaceAllUses(PortRef from, PortRef to)
 {
     CASH_ASSERT(from.valid() && to.valid(), "invalid RAUW");
     // Copy the uses touching this port; setInput mutates the list.
-    std::vector<Use> uses;
+    redirect_.clear();
     for (const Use& u : from.node->uses_)
         if (u.user->inputs_[u.index] == from)
-            uses.push_back(u);
-    for (const Use& u : uses)
+            redirect_.push_back(u);
+    for (const Use& u : redirect_)
         setInput(u.user, u.index, to);
 }
 
@@ -173,17 +193,25 @@ void
 Graph::compact()
 {
     CASH_ASSERT(!journalOpen_, "compacting under an open journal");
-    // Keep ids stable for live nodes but drop dead storage.
-    std::vector<std::unique_ptr<Node>> keep;
-    keep.reserve(nodes_.size());
-    for (auto& n : nodes_)
-        if (!n->dead)
-            keep.push_back(std::move(n));
-    nodes_ = std::move(keep);
+    // Keep ids stable for live nodes; a dropped node keeps its slot but
+    // frees what it owns.
+    size_t kept = 0;
+    for (Node* n : nodes_) {
+        if (!n->dead) {
+            nodes_[kept++] = n;
+            continue;
+        }
+        Node husk;
+        husk.id = n->id;
+        husk.dead = true;
+        *n = std::move(husk);
+    }
+    nodes_.resize(kept);
     // The pass manager is done with this graph: free the journal's
     // buffer, sized for the largest pass run, rather than keep it for
     // the graph's lifetime.
     std::vector<SavedNode>().swap(saved_);
+    numSaved_ = 0;
 }
 
 void
@@ -194,7 +222,11 @@ Graph::beginJournal()
     epoch_++;
     watermark_ = nodes_.size();
     idWatermark_ = nextId_;
-    saved_.clear();
+    numSaved_ = 0;
+    // A journal saves each node at most once: room for every node up
+    // front spares the first runs the moves of a growing buffer.
+    if (saved_.empty())
+        saved_.reserve(nodes_.size());
 }
 
 void
@@ -202,7 +234,7 @@ Graph::commitJournal()
 {
     CASH_ASSERT(journalOpen_, "committing without a journal");
     journalOpen_ = false;
-    saved_.clear();
+    numSaved_ = 0;
 }
 
 void
@@ -211,12 +243,20 @@ Graph::rollbackJournal()
     CASH_ASSERT(journalOpen_, "rolling back without a journal");
     // Each node was saved once, before its first change, so the saved
     // copies are the pre-journal state whatever order they return in.
-    for (SavedNode& s : saved_)
-        *s.slot = std::move(s.before);
-    nodes_.resize(watermark_);
+    for (size_t i = 0; i < numSaved_; i++)
+        *saved_[i].slot = std::move(saved_[i].before);
+    // The nodes created since are the newest slots.
+    while (nodes_.size() > watermark_) {
+        slotsUsed_--;
+        Node* last = &chunks_[slotsUsed_ / kChunkNodes]
+                             [slotsUsed_ % kChunkNodes];
+        CASH_ASSERT(last == nodes_.back(), "node arena out of order");
+        last->~Node();
+        nodes_.pop_back();
+    }
     nextId_ = idWatermark_;
     journalOpen_ = false;
-    saved_.clear();
+    numSaved_ = 0;
 }
 
 std::vector<Node*>
@@ -224,9 +264,9 @@ Graph::liveNodes() const
 {
     std::vector<Node*> out;
     out.reserve(nodes_.size());
-    for (const auto& n : nodes_)
+    for (Node* n : nodes_)
         if (!n->dead)
-            out.push_back(n.get());
+            out.push_back(n);
     return out;
 }
 
@@ -234,7 +274,7 @@ int
 Graph::numLive() const
 {
     int c = 0;
-    for (const auto& n : nodes_)
+    for (const Node* n : nodes_)
         if (!n->dead)
             c++;
     return c;

@@ -7,7 +7,6 @@
 #define CASH_PEGASUS_GRAPH_H
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,11 @@ struct HbInfo
 class Graph
 {
   public:
+    Graph() = default;
+    ~Graph();
+    Graph(const Graph&) = delete;
+    Graph& operator=(const Graph&) = delete;
+
     std::string name;
     const FuncDecl* decl = nullptr;
     int numParams = 0;
@@ -128,11 +132,11 @@ class Graph
     bool
     journalTouched() const
     {
-        return !saved_.empty() || nodes_.size() != watermark_;
+        return numSaved_ != 0 || nodes_.size() != watermark_;
     }
 
     /** Pre-existing nodes saved by the open journal. */
-    size_t journalSavedNodes() const { return saved_.size(); }
+    size_t journalSavedNodes() const { return numSaved_; }
 
     /**
      * Run @p fn(node, before) over every node the open journal saved
@@ -143,10 +147,11 @@ class Graph
     void
     forEachJournaled(Fn&& fn) const
     {
-        for (const SavedNode& s : saved_)
-            fn(static_cast<const Node*>(s.slot), &s.before);
+        for (size_t i = 0; i < numSaved_; i++)
+            fn(static_cast<const Node*>(saved_[i].slot),
+               &saved_[i].before);
         for (size_t i = watermark_; i < nodes_.size(); i++)
-            fn(static_cast<const Node*>(nodes_[i].get()),
+            fn(static_cast<const Node*>(nodes_[i]),
                static_cast<const Node*>(nullptr));
     }
 
@@ -178,14 +183,14 @@ class Graph
     void
     forEach(Fn&& fn) const
     {
-        for (const auto& n : nodes_)
+        for (Node* n : nodes_)
             if (!n->dead)
-                fn(n.get());
+                fn(n);
     }
 
     /** Total number of node slots (including dead). */
     size_t size() const { return nodes_.size(); }
-    Node* node(size_t i) const { return nodes_[i].get(); }
+    Node* node(size_t i) const { return nodes_[i]; }
 
     /**
      * The set of memory-token sources that feed @p n's token input,
@@ -205,11 +210,24 @@ class Graph
     /** A pre-existing node as it was before the journal touched it. */
     struct SavedNode
     {
+        explicit SavedNode(Node* n) : slot(n), before(*n) {}
+
         Node* slot;
         Node before;
     };
 
-    std::vector<std::unique_ptr<Node>> nodes_;
+    /**
+     * Node storage: chunks of kChunkNodes slots, filled in creation
+     * order, so a node is never moved and costs no allocation of its
+     * own.  A rollback destroys the newest nodes, which are the last
+     * slots; compact() empties the nodes it drops, whose slots are
+     * freed with the graph.
+     */
+    static constexpr size_t kChunkNodes = 64;
+    std::vector<Node*> chunks_;
+    size_t slotsUsed_ = 0;
+    /** The nodes, in id order (compact() drops the dead ones). */
+    std::vector<Node*> nodes_;
     /** Next node id; monotone, so ids stay unique across compact(). */
     int nextId_ = 0;
 
@@ -218,7 +236,15 @@ class Graph
     uint32_t epoch_ = 0;
     size_t watermark_ = 0;
     int idWatermark_ = 0;
+    /**
+     * The saved copies are saved_[0, numSaved_).  Closing a journal
+     * keeps the slots, so a later save copies into a slot whose
+     * vectors already have capacity instead of allocating anew.
+     */
     std::vector<SavedNode> saved_;
+    size_t numSaved_ = 0;
+    /** replaceAllUses()'s copy of the uses it redirects. */
+    std::vector<Use> redirect_;
 
     void unuse(Node* producer, Node* user, int index);
 
@@ -228,7 +254,13 @@ class Graph
     {
         if (journalOpen_ && n->journalEpoch_ != epoch_) {
             n->journalEpoch_ = epoch_;
-            saved_.push_back({n, *n});
+            if (numSaved_ < saved_.size()) {
+                saved_[numSaved_].slot = n;
+                saved_[numSaved_].before = *n;
+            } else {
+                saved_.emplace_back(n);
+            }
+            numSaved_++;
         }
     }
 };

@@ -149,7 +149,7 @@ Node::str() const
             os << "n" << in.node->id;
             if (in.port)
                 os << "." << in.port;
-            if (backEdge_[i])
+            if (inputIsBackEdge(i))
                 os << "^";
         }
     }

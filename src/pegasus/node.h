@@ -24,6 +24,7 @@
 #define CASH_PEGASUS_NODE_H
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -141,8 +142,14 @@ class Node
     const PortRef& input(int i) const { return inputs_.at(i); }
     int numInputs() const { return static_cast<int>(inputs_.size()); }
 
-    /** Back-edge flags parallel to inputs (loop-carried merge inputs). */
-    bool inputIsBackEdge(int i) const { return backEdge_.at(i); }
+    /** Is input @p i a back edge (a loop-carried merge input)? */
+    bool
+    inputIsBackEdge(int i) const
+    {
+        if (i < 0 || i >= numInputs())
+            throw std::out_of_range("Node::inputIsBackEdge");
+        return static_cast<size_t>(i) < backEdge_.size() && backEdge_[i];
+    }
 
     /** Uses of all output ports of this node. */
     const std::vector<Use>& uses() const { return uses_; }
@@ -183,6 +190,8 @@ class Node
     /** Graph journal generation that last saved or created this node. */
     uint32_t journalEpoch_ = 0;
     std::vector<PortRef> inputs_;
+    /** Back-edge flags parallel to inputs_, or empty when there are
+     *  none (most nodes), which spares them an allocation. */
     std::vector<bool> backEdge_;
     std::vector<Use> uses_;
 };

@@ -10,7 +10,9 @@
 #include <cctype>
 #include <cstring>
 
+#include "benchsuite/kernels.h"
 #include "driver/compiler.h"
+#include "driver/driver_lib.h"
 #include "sim/dataflow_sim.h"
 #include "support/stats.h"
 #include "support/trace.h"
@@ -373,6 +375,27 @@ TEST(Trace, OneEventPerPassRun)
     // Per-pass wall time was accumulated in the stats alongside.
     EXPECT_TRUE(r.stats.has("opt.pass.dead_code.time_us"));
     EXPECT_TRUE(r.stats.has("opt.pass.dead_code.nodes_removed"));
+}
+
+// Pegasus construction has its own wall-clock key, inside the
+// frontend's, and like every time.* key it stays out of the
+// deterministic stats document.
+TEST(Trace, BuildTimeIsASubSpanOfTheFrontend)
+{
+    DriverRequest req;
+    req.source = kernelByName("saxpy").source;
+    req.jobs = 1;
+    DriverReply rep = runDriverRequest(req);
+    ASSERT_EQ(rep.exitCode, 0);
+    const int64_t build = rep.compileStats.get("time.build.us");
+    EXPECT_GT(build, 0);
+    EXPECT_LE(build, rep.compileStats.get("time.frontend.us"));
+    const std::string doc = statsJsonDocument(
+        rep, statsJsonMeta(req, "saxpy"), /*deterministic=*/true);
+    EXPECT_EQ(doc.find("time.build.us"), std::string::npos);
+    EXPECT_NE(statsJsonDocument(rep, statsJsonMeta(req, "saxpy"))
+                  .find("time.build.us"),
+              std::string::npos);
 }
 
 TEST(Trace, SimulatorRecordsActivationsAndCounters)
