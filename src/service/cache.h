@@ -11,7 +11,7 @@
  * a hit replays the original bytes verbatim.
  *
  * Bounded two ways (entries and total payload bytes) with LRU
- * eviction; all methods are thread-safe — the server's pool workers
+ * eviction; all methods are thread-safe — the server's request workers
  * hit it concurrently.
  */
 #ifndef CASH_SERVICE_CACHE_H

@@ -3,13 +3,14 @@
  * `cashd` — the persistent compile service (docs/SERVICE.md): serves
  * compile/analyze/simulate requests over a Unix-domain socket using
  * the `cash-svc-v1` protocol, with a content-addressed result cache
- * and request batching over the work-stealing pool.
+ * and a set of request workers that each serve one request at a time.
  *
  * Usage:
  *   cashd [options]
  *     --socket PATH      socket path (default $CASH_SOCKET or
  *                        /tmp/cashd.sock)
- *     -j N, --jobs N     batching pool workers (default: hardware)
+ *     -j N, --jobs N     request workers (default: one per hardware
+ *                        thread)
  *     --cache-entries N  result-cache entry cap (default 4096)
  *     --cache-mb N       result-cache size cap in MiB (default 256)
  *     --max-queue N      pending-request cap (default 4096)

@@ -8,14 +8,18 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "support/thread_pool.h"
-
 namespace cash {
 
 namespace {
 
 /** Latency ring-buffer capacity: enough for percentile stability. */
 constexpr size_t kLatencyWindow = 1u << 16;
+
+uint32_t
+clampUs(uint64_t us)
+{
+    return us > 0xFFFFFFFFull ? 0xFFFFFFFFu : static_cast<uint32_t>(us);
+}
 
 } // namespace
 
@@ -90,9 +94,22 @@ ServiceServer::start()
         stopRequested_ = false;
         stopped_ = false;
     }
+    {
+        std::lock_guard<std::mutex> lock(queueMu_);
+        readersJoined_ = false;
+    }
+    int workers = cfg_.jobs;
+    if (workers <= 0)
+        workers = static_cast<int>(
+            std::max(1u, std::thread::hardware_concurrency()));
+    {
+        std::lock_guard<std::mutex> lock(metricsMu_);
+        workerCount_ = workers;
+    }
     running_.store(true);
     acceptThread_ = std::thread(&ServiceServer::acceptLoop, this);
-    dispatchThread_ = std::thread(&ServiceServer::dispatchLoop, this);
+    for (int i = 0; i < workers; i++)
+        workers_.emplace_back(&ServiceServer::workerLoop, this);
     return Status::ok();
 }
 
@@ -150,11 +167,17 @@ ServiceServer::stop()
         if (s.thread.joinable())
             s.thread.join();
 
-    // 3. Drain: the dispatcher exits once the queue is empty, after
-    //    writing every in-flight response.
+    // 3. Drain: with every reader joined nothing more can be
+    //    enqueued, so a worker that finds the queue empty may exit;
+    //    every in-flight response has been written once they all have.
+    {
+        std::lock_guard<std::mutex> lock(queueMu_);
+        readersJoined_ = true;
+    }
     queueCv_.notify_all();
-    if (dispatchThread_.joinable())
-        dispatchThread_.join();
+    for (std::thread& w : workers_)
+        w.join();
+    workers_.clear();
 
     // 4. Now nothing touches the sockets anymore.
     for (const ReaderSlot& s : slots) {
@@ -374,116 +397,97 @@ ServiceServer::readerLoop(std::shared_ptr<Conn> conn)
 }
 
 void
-ServiceServer::dispatchLoop()
+ServiceServer::workerLoop()
 {
-    // The pool is created (and parallelFor called) on this thread:
-    // it is the batch owner.
-    ThreadPool pool(cfg_.jobs);
-    {
-        std::lock_guard<std::mutex> lock(metricsMu_);
-        poolWorkers_ = pool.workers();
-    }
-
     while (true) {
-        std::vector<Pending> batch;
+        Pending p;
         {
             std::unique_lock<std::mutex> lock(queueMu_);
             queueCv_.wait(lock, [&] {
-                return stopping_.load() || !queue_.empty();
+                return readersJoined_ || !queue_.empty();
             });
-            if (queue_.empty()) {
-                if (stopping_.load())
-                    break;
-                continue;
-            }
-            batch.reserve(queue_.size());
-            for (Pending& p : queue_)
-                batch.push_back(std::move(p));
-            queue_.clear();
+            if (queue_.empty())
+                return; // drained, and no reader can enqueue more
+            p = std::move(queue_.front());
+            queue_.pop_front();
         }
-        {
-            std::lock_guard<std::mutex> lock(metricsMu_);
-            batches_++;
-            batchMax_ = std::max(batchMax_,
-                                 static_cast<int64_t>(batch.size()));
-        }
-        if (cfg_.tracer && cfg_.tracer->enabled()) {
-            std::lock_guard<std::mutex> lock(traceMu_);
-            cfg_.tracer->counterEvent("svc.batch", cfg_.tracer->nowUs(),
-                                      static_cast<int64_t>(batch.size()),
-                                      kTraceWallPid);
-        }
-        pool.parallelFor(batch.size(), [&](size_t i, int) {
-            try {
-                handleOne(batch[i]);
-            } catch (const std::exception& e) {
-                sendOnConn(batch[i].conn,
-                           svcErrorResponse(batch[i].req.id,
-                                            svcOpName(batch[i].req.op),
-                                            "internal_error",
-                                            e.what()));
-            }
-            Conn& c = *batch[i].conn;
-            if (c.inflight.fetch_sub(1) == 1 && c.draining.load())
-                finishConn(c);
-        });
+        handleOne(p);
+        Conn& c = *p.conn;
+        if (c.inflight.fetch_sub(1) == 1 && c.draining.load())
+            finishConn(c);
     }
+}
+
+std::string
+ServiceServer::resultBody(const SvcRequest& req, bool* cached)
+{
+    const std::string key = svcCacheKey(req);
+    std::string body;
+    *cached = cache_.lookup(key, &body);
+    if (*cached)
+        return body;
+    DriverRequest d = req.driver;
+    // Parallelism comes from the request workers; each compile runs
+    // serially on its worker.  Fault injection and tracing are local
+    // concerns, never remote-controlled.
+    d.jobs = 1;
+    d.faults = nullptr;
+    d.tracer = nullptr;
+    // Guardrails: clamp the event budget and arm the wall-clock guard
+    // so a pathological graph cannot pin this worker.
+    if (cfg_.maxEventsCap &&
+        (d.maxEvents == 0 || d.maxEvents > cfg_.maxEventsCap))
+        d.maxEvents = cfg_.maxEventsCap;
+    d.simWallMs = cfg_.simWallMs;
+    DriverReply rep = runDriverRequest(d);
+    body = svcResultBody(req, rep);
+    // A timeout reflects host load at the moment of the run, not the
+    // request: caching it would pin the degraded result.
+    if (!(rep.ranSim && rep.simOutcome == SimOutcome::Timeout))
+        cache_.insert(key, body);
+    return body;
 }
 
 void
 ServiceServer::handleOne(Pending& p)
 {
-    const std::string key = svcCacheKey(p.req);
-    std::string body;
-    bool cached = cache_.lookup(key, &body);
-    if (!cached) {
-        DriverRequest d = p.req.driver;
-        // Parallelism comes from request-level batching; each compile
-        // runs serially on its pool worker.  Fault injection and
-        // tracing are local concerns, never remote-controlled.
-        d.jobs = 1;
-        d.faults = nullptr;
-        d.tracer = nullptr;
-        // Guardrails: clamp the event budget and arm the wall-clock
-        // guard so a pathological graph cannot pin this pool worker.
-        if (cfg_.maxEventsCap &&
-            (d.maxEvents == 0 || d.maxEvents > cfg_.maxEventsCap))
-            d.maxEvents = cfg_.maxEventsCap;
-        d.simWallMs = cfg_.simWallMs;
-        DriverReply rep = runDriverRequest(d);
-        body = svcResultBody(p.req, rep);
-        // A timeout reflects host load at the moment of the run, not
-        // the request: caching it would pin the degraded result.
-        if (!(rep.ranSim && rep.simOutcome == SimOutcome::Timeout))
-            cache_.insert(key, body);
+    const uint64_t waitUs = nowUs() - p.enqueuedUs;
+    bool cached = false;
+    std::string response;
+    try {
+        const std::string body = resultBody(p.req, &cached);
+        response = svcResponse(p.req, cached, body);
+    } catch (const std::exception& e) {
+        response = svcErrorResponse(p.req.id, svcOpName(p.req.op),
+                                    "internal_error", e.what());
     }
     // Record before sending so a client that reads its response and
     // immediately polls metrics() observes its own request.
-    uint64_t durUs = nowUs() - p.enqueuedUs;
-    recordLatency(durUs);
-    sendOnConn(p.conn, svcResponse(p.req, cached, body));
+    const uint64_t durUs = nowUs() - p.enqueuedUs;
+    recordLatency(durUs, waitUs);
+    sendOnConn(p.conn, response);
     if (cfg_.tracer && cfg_.tracer->enabled()) {
         std::lock_guard<std::mutex> lock(traceMu_);
         uint64_t end = cfg_.tracer->nowUs();
         uint64_t start = end > durUs ? end - durUs : 0;
         cfg_.tracer->completeEvent(
             svcOpName(p.req.op), "svc", start, durUs,
-            {TraceArg("cached", static_cast<int64_t>(cached))},
+            {TraceArg("cached", static_cast<int64_t>(cached)),
+             TraceArg("wait_us", static_cast<int64_t>(waitUs))},
             kTraceWallPid);
     }
 }
 
 void
-ServiceServer::recordLatency(uint64_t us)
+ServiceServer::recordLatency(uint64_t latencyUs, uint64_t waitUs)
 {
-    uint32_t v = us > 0xFFFFFFFFull ? 0xFFFFFFFFu
-                                    : static_cast<uint32_t>(us);
+    const Sample s{clampUs(latencyUs), clampUs(waitUs)};
     std::lock_guard<std::mutex> lock(metricsMu_);
-    if (latenciesUs_.size() < kLatencyWindow) {
-        latenciesUs_.push_back(v);
+    if (samples_.size() < kLatencyWindow) {
+        samples_.push_back(s);
     } else {
-        latenciesUs_[latencyNext_] = v;
-        latencyNext_ = (latencyNext_ + 1) % kLatencyWindow;
+        samples_[sampleNext_] = s;
+        sampleNext_ = (sampleNext_ + 1) % kLatencyWindow;
     }
     latencyCount_++;
 }
@@ -499,7 +503,7 @@ ServiceServer::metrics() const
     }
     ResultCache::Stats cs = cache_.stats();
 
-    std::vector<uint32_t> lat;
+    std::vector<uint32_t> lat, wait;
     {
         std::lock_guard<std::mutex> lock(metricsMu_);
         m.set("svc.protocol", kSvcProtocolVersion);
@@ -508,13 +512,16 @@ ServiceServer::metrics() const
         m.add("svc.requests.compile", requestsCompile_);
         m.add("svc.requests.rejected", requestsRejected_);
         m.add("svc.protocol.errors", protocolErrors_);
-        m.add("svc.batches", batches_);
-        m.set("svc.batch.max", batchMax_);
         m.set("svc.queue.peak", queuePeak_);
         m.add("svc.connections.accepted", connectionsAccepted_);
-        m.set("svc.pool.workers", poolWorkers_);
+        m.set("svc.pool.workers", workerCount_);
         m.set("svc.latency.count", latencyCount_);
-        lat = latenciesUs_;
+        lat.reserve(samples_.size());
+        wait.reserve(samples_.size());
+        for (const Sample& s : samples_) {
+            lat.push_back(s.latencyUs);
+            wait.push_back(s.waitUs);
+        }
     }
     m.set("svc.queue.depth", static_cast<int64_t>(depth));
     m.add("svc.cache.hits", cs.hits);
@@ -529,16 +536,19 @@ ServiceServer::metrics() const
 
     if (!lat.empty()) {
         std::sort(lat.begin(), lat.end());
-        auto pick = [&](double q) {
+        std::sort(wait.begin(), wait.end());
+        auto pick = [](const std::vector<uint32_t>& v, double q) {
             size_t idx = static_cast<size_t>(
-                q * static_cast<double>(lat.size() - 1));
-            return static_cast<int64_t>(lat[idx]);
+                q * static_cast<double>(v.size() - 1));
+            return static_cast<int64_t>(v[idx]);
         };
-        m.set("svc.latency.p50_us", pick(0.50));
-        m.set("svc.latency.p95_us", pick(0.95));
-        m.set("svc.latency.p99_us", pick(0.99));
+        m.set("svc.latency.p50_us", pick(lat, 0.50));
+        m.set("svc.latency.p95_us", pick(lat, 0.95));
+        m.set("svc.latency.p99_us", pick(lat, 0.99));
         m.set("svc.latency.max_us",
               static_cast<int64_t>(lat.back()));
+        m.set("svc.queue.wait_p50_us", pick(wait, 0.50));
+        m.set("svc.queue.wait_p95_us", pick(wait, 0.95));
     }
     return m;
 }

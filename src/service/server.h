@@ -9,32 +9,34 @@
  *                        │  control ops (ping/metrics/shutdown)
  *                        │  answered inline; compile-family ops
  *                        ▼  enqueued
- *                     pending queue  ──►  dispatch thread
- *                                           │ drains the queue into
- *                                           ▼ batches
- *                                        ThreadPool.parallelFor
- *                                           │ per request: result
- *                                           ▼ cache, else driver
- *                                        response frames
+ *                     pending queue (FIFO, depth cap)
+ *                        │  each of `jobs` request workers pops the
+ *                        ▼  oldest request when it is free
+ *                     request worker ×jobs
+ *                        │ per request: result cache, else driver
+ *                        ▼ at jobs=1
+ *                     response frame
  *
- * Batching is the scaling mechanism: concurrent clients funnel into
- * one work-stealing pool (PR 3), each request compiled serially
- * (jobs=1) so parallelism comes from request-level fan-out, and
- * repeat traffic short-circuits through the content-addressed
- * ResultCache.  The queue has a depth cap; beyond it requests are
- * rejected with an `overloaded` error instead of building unbounded
- * backlog.
+ * There is no batch barrier: a worker goes back to the queue as soon
+ * as its own request is answered, so a cache hit or a short compile
+ * waits for an unrelated slow request only when every worker is busy
+ * with one.  Parallelism comes from request-level fan-out (each
+ * request compiles serially), and repeat traffic short-circuits
+ * through the content-addressed ResultCache.
+ * The queue has a depth cap; beyond it requests are rejected with an
+ * `overloaded` error instead of building unbounded backlog.
  *
  * Shutdown is graceful by construction: stop() closes the listener,
- * half-closes every connection for reading (no new requests), lets
- * the dispatcher drain every in-flight request and write its
- * response, and only then closes the sockets.
+ * half-closes every connection for reading (no new requests), joins
+ * the readers, and only then lets the workers exit — each once the
+ * queue is empty — so every request a reader enqueued is answered
+ * before the sockets close.
  *
- * Observability: svc.* counters (queue depth, batch sizes, cache hit
- * rate, p50/p95/p99 request latency) through the PR 1 StatSet
- * convention via metrics(), and one "svc" trace span per request when
- * a TraceRecorder is attached (guarded internally — the recorder
- * itself is not thread-safe).
+ * Observability: svc.* counters (queue depth and peak, cache hit
+ * rate, p50/p95/p99 request latency and p50/p95 queue wait) through
+ * the StatSet convention via metrics(), and one "svc" trace span
+ * per request when a TraceRecorder is attached (guarded internally —
+ * the recorder itself is not thread-safe).
  */
 #ifndef CASH_SERVICE_SERVER_H
 #define CASH_SERVICE_SERVER_H
@@ -64,7 +66,7 @@ struct ServiceConfig
 {
     /** Filesystem path of the Unix-domain socket (required). */
     std::string socketPath;
-    /** Pool workers for request batching; 0 = one per hw thread. */
+    /** Request workers; 0 = one per hardware thread. */
     int jobs = 0;
     /** Result-cache bounds (see ResultCache). */
     size_t cacheEntries = 4096;
@@ -76,7 +78,7 @@ struct ServiceConfig
     /**
      * Ceiling on any request's simulator event budget.  A request
      * asking for more (or for "unlimited" via 0) is clamped down, so
-     * one adversarial or buggy client cannot pin a pool worker on a
+     * one adversarial or buggy client cannot pin a request worker on a
      * livelocked graph.  0 disables the cap.  The clamp is visible
      * to the client as an ordinary `event_limit` sim outcome.
      */
@@ -130,9 +132,9 @@ class ServiceServer
 
     /**
      * Snapshot of the svc.* counters: request/connection totals,
-     * queue depth and peak, batch count and max size, cache
-     * occupancy + hit/miss counters, and p50/p95/p99/max request
-     * latency in microseconds (docs/SCHEMAS.md lists every key).
+     * queue depth and peak, worker count, cache occupancy + hit/miss
+     * counters, p50/p95/p99/max request latency and p50/p95 queue
+     * wait in microseconds (docs/SCHEMAS.md lists every key).
      */
     StatSet metrics() const;
 
@@ -168,12 +170,13 @@ class ServiceServer
 
     void acceptLoop();
     void readerLoop(std::shared_ptr<Conn> conn);
-    void dispatchLoop();
+    void workerLoop();
     void handleOne(Pending& p);
+    std::string resultBody(const SvcRequest& req, bool* cached);
     void sendOnConn(const std::shared_ptr<Conn>& conn,
                     const std::string& payload);
     void finishConn(Conn& conn);
-    void recordLatency(uint64_t us);
+    void recordLatency(uint64_t latencyUs, uint64_t waitUs);
     uint64_t nowUs() const;
 
     ServiceConfig cfg_;
@@ -188,7 +191,7 @@ class ServiceServer
     bool stopped_ = false; ///< teardown finished (under stopMu_)
 
     std::thread acceptThread_;
-    std::thread dispatchThread_;
+    std::vector<std::thread> workers_;
 
     std::mutex connsMu_;
     std::vector<ReaderSlot> slots_;
@@ -196,6 +199,8 @@ class ServiceServer
     mutable std::mutex queueMu_;
     std::condition_variable queueCv_;
     std::deque<Pending> queue_;
+    /** stop() joined every reader: nothing more can be enqueued. */
+    bool readersJoined_ = false;
 
     ResultCache cache_;
 
@@ -205,13 +210,17 @@ class ServiceServer
     int64_t requestsCompile_ = 0;
     int64_t requestsRejected_ = 0;
     int64_t protocolErrors_ = 0;
-    int64_t batches_ = 0;
-    int64_t batchMax_ = 0;
     int64_t queuePeak_ = 0;
     int64_t connectionsAccepted_ = 0;
-    int64_t poolWorkers_ = 0;
-    std::vector<uint32_t> latenciesUs_; ///< ring buffer, newest wraps
-    size_t latencyNext_ = 0;
+    int64_t workerCount_ = 0;
+    /** One answered request: enqueue→response and enqueue→pickup. */
+    struct Sample
+    {
+        uint32_t latencyUs;
+        uint32_t waitUs;
+    };
+    std::vector<Sample> samples_; ///< ring buffer, newest wraps
+    size_t sampleNext_ = 0;
     int64_t latencyCount_ = 0;
 
     std::mutex traceMu_;

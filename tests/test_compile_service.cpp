@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -699,6 +700,185 @@ TEST_F(ServiceFixture, GracefulStopDrainsInFlightRequests)
     ASSERT_TRUE(resp.getBool("ok"));
     EXPECT_EQ(resp.get("body")->get("sim")->getInt("return"), 780);
     EXPECT_FALSE(server_->running());
+}
+
+/** Connect a raw socket to @p path; -1 when nothing listens there. */
+int
+rawConnect(const std::string& path)
+{
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
+        0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST(ServiceDrain, StopAnswersEveryCountedRequest)
+{
+    // Each round, three connections run closed loops of cache hits
+    // (the queue keeps emptying and refilling) and a fourth streams
+    // large frames, so its reader spends most of its time between
+    // taking a frame off the wire and enqueueing it; meanwhile the
+    // test thread stops the server.  Requests no reader took off the
+    // wire go unanswered, but every request the server counted must
+    // get its response frame before the sockets close, and must be
+    // counted in the latency window too.
+    const std::string path = testSocketPath("drainrace");
+    const std::string bulkSource =
+        std::string(kProgA) + "/*" + std::string(256u << 10, 'x') + "*/\n";
+    constexpr int kRounds = 40;
+    constexpr int kLoopers = 3;
+    auto answeredOk = [](const std::string& payload) {
+        Json resp;
+        return Json::parse(payload, &resp).isOk() && resp.getBool("ok");
+    };
+    for (int round = 0; round < kRounds; round++) {
+        ServiceConfig cfg;
+        cfg.socketPath = path;
+        cfg.jobs = 2;
+        ServiceServer server(cfg);
+        ASSERT_TRUE(server.start().isOk());
+
+        std::atomic<int64_t> answered{0};
+        std::vector<std::thread> clients;
+        for (int c = 0; c < kLoopers; c++) {
+            clients.emplace_back([&] {
+                ServiceClient client;
+                if (!client.connect(path).isOk())
+                    return; // the server already stopped listening
+                std::string raw;
+                Json resp;
+                while (client.call(makeCompileRequest("compile", kProgA),
+                                   &resp, &raw)
+                           .isOk() &&
+                       answeredOk(raw))
+                    answered.fetch_add(1);
+            });
+        }
+        int bulkFd = rawConnect(path);
+        std::string hello;
+        bool eof = false;
+        if (bulkFd >= 0 &&
+            (!readFrame(bulkFd, &hello, &eof).isOk() || eof)) {
+            ::close(bulkFd);
+            bulkFd = -1;
+        }
+        if (bulkFd >= 0) {
+            clients.emplace_back([&] {
+                for (int64_t id = 1; id <= 64; id++) {
+                    Json q = makeCompileRequest("compile", bulkSource);
+                    q.set("id", Json::number(id));
+                    if (!writeFrame(bulkFd, q.dump()).isOk())
+                        break; // the server half-closed the connection
+                }
+            });
+            clients.emplace_back([&] {
+                std::string payload;
+                bool done = false;
+                while (readFrame(bulkFd, &payload, &done).isOk() && !done)
+                    if (answeredOk(payload))
+                        answered.fetch_add(1);
+            });
+        }
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(500 * (1 + round % 10)));
+        server.stop();
+        for (std::thread& t : clients)
+            t.join();
+        if (bulkFd >= 0)
+            ::close(bulkFd);
+
+        StatSet m = server.metrics();
+        EXPECT_EQ(answered.load(), m.get("svc.requests.compile"))
+            << "round " << round;
+        EXPECT_EQ(m.get("svc.latency.count"),
+                  m.get("svc.requests.compile"))
+            << "round " << round;
+    }
+}
+
+TEST_F(ServiceFixture, ShortRequestIsNotHeldBehindASlowOne)
+{
+    // Two workers.  While one serves a long simulation, a small
+    // compile from another connection must be answered by the other
+    // worker, not wait for the simulation to finish.
+    startServer("hol");
+    ServiceClient slow, quick;
+    ASSERT_TRUE(slow.connect(cfg_.socketPath).isOk());
+    ASSERT_TRUE(quick.connect(cfg_.socketPath).isOk());
+
+    std::atomic<bool> slowAnswered{false};
+    Json slowResp;
+    std::thread a([&] {
+        Json opts = Json::object();
+        opts.set("run", Json::string("triangle(800)"));
+        if (slow.call(makeCompileRequest("simulate", kProgC, opts),
+                      &slowResp)
+                .isOk())
+            slowAnswered.store(true);
+    });
+    // Requested and no longer queued: a worker is serving it.
+    for (int spin = 0; spin < 5000; spin++) {
+        StatSet m = server_->metrics();
+        if (m.get("svc.requests.compile") >= 1 &&
+            m.get("svc.queue.depth") == 0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    Json resp;
+    ASSERT_TRUE(
+        quick.call(makeCompileRequest("compile", kProgA), &resp).isOk());
+    const bool quickFirst = !slowAnswered.load();
+    a.join();
+
+    EXPECT_TRUE(resp.getBool("ok"));
+    ASSERT_TRUE(slowAnswered.load());
+    EXPECT_TRUE(slowResp.getBool("ok"));
+    EXPECT_TRUE(quickFirst)
+        << "the small compile waited for the unrelated simulation";
+}
+
+TEST_F(ServiceFixture, QueueWaitIsReportedBesideLatency)
+{
+    TraceRecorder tracer;
+    tracer.enable();
+    cfg_.tracer = &tracer;
+    startServer("wait");
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(cfg_.socketPath).isOk());
+    for (const char* src : {kProgA, kProgB, kProgA, kProgC}) {
+        Json resp;
+        ASSERT_TRUE(
+            client.call(makeCompileRequest("compile", src), &resp).isOk());
+        ASSERT_TRUE(resp.getBool("ok"));
+    }
+
+    StatSet m = server_->metrics();
+    ASSERT_TRUE(m.has("svc.queue.wait_p50_us"));
+    ASSERT_TRUE(m.has("svc.queue.wait_p95_us"));
+    EXPECT_LE(m.get("svc.queue.wait_p50_us"),
+              m.get("svc.latency.p50_us"));
+    EXPECT_LE(m.get("svc.queue.wait_p95_us"),
+              m.get("svc.latency.p95_us"));
+    EXPECT_EQ(m.get("svc.latency.count"), 4);
+
+    // Every served request's span carries its wait.
+    server_->stop();
+    std::vector<const TraceEvent*> spans = tracer.byCategory("svc");
+    ASSERT_EQ(spans.size(), 4u);
+    for (const TraceEvent* e : spans) {
+        bool hasWait = false;
+        for (const TraceArg& arg : e->args)
+            hasWait = hasWait || arg.key == "wait_us";
+        EXPECT_TRUE(hasWait) << e->name;
+    }
 }
 
 TEST_F(ServiceFixture, ShutdownOpFlagsTheServer)
