@@ -67,9 +67,7 @@ statsFingerprint(const StatSet& stats)
 {
     std::string out;
     for (const auto& [k, v] : stats.all()) {
-        if (k.rfind("time.", 0) == 0)
-            continue;
-        if (k.size() > 8 && k.compare(k.size() - 8, 8, ".time_us") == 0)
+        if (isWallClockKey(k))
             continue;
         out += k + "=" + std::to_string(v) + ";";
     }
@@ -90,8 +88,7 @@ struct Measurement
     {
         optimizeUs += stats.get("time.optimize.us");
         for (const auto& [k, v] : stats.all())
-            if (k.rfind("opt.pass.", 0) == 0 && k.size() > 8 &&
-                k.compare(k.size() - 8, 8, ".time_us") == 0)
+            if (k.rfind("opt.pass.", 0) == 0 && isWallClockKey(k))
                 passBodyUs += v;
         cleanupUs += stats.get("opt.pass.scalar_opts.time_us") +
                      stats.get("opt.pass.dead_code.time_us");

@@ -624,14 +624,13 @@ runLints(const std::vector<const Graph*>& graphs,
     for (const std::string& n : names)
         rules.push_back(LintRegistry::global().create(n));
 
-    TraceRecorder* tracer =
-        ctx.tracer && ctx.tracer->enabled() ? ctx.tracer : nullptr;
-
     LintReport report;
     for (const Graph* g : graphs) {
         LintGraph lg(*g, ctx);
         for (size_t ri = 0; ri < rules.size(); ri++) {
-            uint64_t t0 = tracer ? tracer->nowUs() : 0;
+            ScopedTimer span(ctx.tracer,
+                             std::string("lint ") + rules[ri]->name(),
+                             "analysis");
             size_t before = report.findings.size();
             rules[ri]->run(lg, ctx, report.findings);
             int64_t found =
@@ -641,13 +640,9 @@ runLints(const std::vector<const Graph*>& graphs,
                     std::string("analysis.") + rules[ri]->name() +
                         ".count",
                     found);
-            if (tracer)
-                tracer->completeEvent(
-                    std::string("lint ") + rules[ri]->name(),
-                    "analysis", t0, tracer->nowUs() - t0,
-                    {{"graph", g->name},
-                     {"rule", std::string(rules[ri]->name())},
-                     {"findings", found}});
+            span.arg("graph", g->name);
+            span.arg("rule", rules[ri]->name());
+            span.arg("findings", found);
         }
     }
     if (ctx.stats) {

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <chrono>
 
 #include "driver/compiler.h"
 
@@ -85,60 +84,59 @@ struct FuncOptSlot
 CompileResult
 compileSource(const std::string& source, const CompileOptions& options)
 {
-    using Clock = std::chrono::steady_clock;
-    auto us = [](Clock::time_point a, Clock::time_point b) {
-        return std::chrono::duration_cast<std::chrono::microseconds>(
-                   b - a)
-            .count();
-    };
-
     TraceRecorder* tracer = options.tracer;
     CompileResult r;
     ScopedTimer whole(tracer, "compile", "compile");
     whole.arg("level", optLevelName(options.level));
 
-    Clock::time_point t0 = Clock::now();
+    // §7.1: CASH spends about half its time in the optimizers.  Each
+    // layer's time.* key comes from the timer that owns its span; the
+    // frontend's phases, construction included, nest inside its own.
+    auto timer = [&](const char* name, const char* cat, const char* key) {
+        return ScopedTimer(tracer, name, cat, &r.stats, key);
+    };
     {
-        ScopedTimer t(tracer, "parse+sema", "frontend");
-        r.ast = std::make_shared<Program>(parseProgram(source));
-        analyzeProgram(*r.ast);
-    }
-    {
-        ScopedTimer t(tracer, "layout", "frontend");
-        r.layout = std::make_shared<MemoryLayout>();
-        r.layout->build(*r.ast);
-    }
-    {
-        ScopedTimer t(tracer, "lower", "frontend");
-        r.cfg = lowerProgram(*r.ast, *r.layout);
-    }
-    {
-        ScopedTimer t(tracer, "points-to", "frontend");
-        runPointsTo(*r.cfg, *r.ast, *r.layout);
-    }
-    // Whole-program MOD/REF summaries: always computed (reporting is
-    // level-independent); the per-call-site stamps that construction
-    // and the pruning pass consume are only planted when the ipo knob
-    // is on at Full.
-    const bool interprocActive = options.interproc &&
-                                 options.level == OptLevel::Full &&
-                                 options.pointsToInConstruction;
-    {
-        ScopedTimer t(tracer, "modref", "frontend");
-        r.summaries = std::make_shared<ModRefSummaries>(
-            computeModRef(*r.cfg, *r.layout, interprocActive));
-    }
+        ScopedTimer frontend =
+            timer("frontend", "compile", "time.frontend.us");
+        {
+            ScopedTimer t = timer("parse+sema", "frontend", "time.parse.us");
+            r.ast = std::make_shared<Program>(parseProgram(source));
+            analyzeProgram(*r.ast);
+        }
+        {
+            ScopedTimer t = timer("layout", "frontend", "time.layout.us");
+            r.layout = std::make_shared<MemoryLayout>();
+            r.layout->build(*r.ast);
+        }
+        {
+            ScopedTimer t = timer("lower", "frontend", "time.lower.us");
+            r.cfg = lowerProgram(*r.ast, *r.layout);
+        }
+        {
+            ScopedTimer t =
+                timer("points-to", "frontend", "time.points_to.us");
+            runPointsTo(*r.cfg, *r.ast, *r.layout);
+        }
+        // Whole-program MOD/REF summaries: always computed (reporting
+        // is level-independent); the per-call-site stamps that
+        // construction and the pruning pass consume are only planted
+        // when the ipo knob is on at Full.
+        const bool interprocActive = options.interproc &&
+                                     options.level == OptLevel::Full &&
+                                     options.pointsToInConstruction;
+        {
+            ScopedTimer t = timer("modref", "frontend", "time.modref.us");
+            r.summaries = std::make_shared<ModRefSummaries>(
+                computeModRef(*r.cfg, *r.layout, interprocActive));
+        }
 
-    BuildOptions bo;
-    bo.usePointsTo =
-        options.pointsToInConstruction && options.level != OptLevel::None;
-    bo.interprocEffects = interprocActive;
-    Clock::time_point tb = Clock::now();
-    {
-        ScopedTimer t(tracer, "build-pegasus", "frontend");
+        BuildOptions bo;
+        bo.usePointsTo = options.pointsToInConstruction &&
+                         options.level != OptLevel::None;
+        bo.interprocEffects = interprocActive;
+        ScopedTimer t = timer("build-pegasus", "frontend", "time.build.us");
         r.graphs = buildPegasus(*r.cfg, *r.ast, *r.layout, bo);
     }
-    Clock::time_point t1 = Clock::now();
 
     // ------------------------------------------------------------------
     // Per-function optimization, embarrassingly parallel: every
@@ -193,13 +191,17 @@ compileSource(const std::string& source, const CompileOptions& options)
             slot.trace.enable();
         }
         if (options.verify) {
-            const Clock::time_point v0 = Clock::now();
             std::vector<std::string> problems;
-            if (options.strict)
-                verifyOrDie(g, "after construction of " + g.name);
-            else
-                problems = verifyGraph(g);
-            slot.stats.add("time.verify.us", us(v0, Clock::now()));
+            {
+                ScopedTimer t(traceOn ? &slot.trace : nullptr,
+                              "verify " + g.name, "opt.verify",
+                              &slot.stats, "time.verify.us",
+                              ScopedTimer::Write::Add);
+                if (options.strict)
+                    verifyOrDie(g, "after construction of " + g.name);
+                else
+                    problems = verifyGraph(g);
+            }
             // A function whose construction already violates the
             // invariants is left unoptimized (passes assume a
             // well-formed graph); everything else proceeds.
@@ -244,7 +246,8 @@ compileSource(const std::string& source, const CompileOptions& options)
     };
 
     {
-        ScopedTimer t(tracer, "optimize", "opt.phase");
+        // Verification time counts toward optimization.
+        ScopedTimer t = timer("optimize", "opt.phase", "time.optimize.us");
         t.arg("jobs", jobs);
         t.arg("functions", static_cast<int64_t>(r.graphs.size()));
         if (jobs <= 1) {
@@ -254,25 +257,19 @@ compileSource(const std::string& source, const CompileOptions& options)
             ThreadPool pool(jobs);
             pool.parallelFor(r.graphs.size(), optimizeOne);
         }
+        // Deterministic merge: function-declaration order, single
+        // thread.
+        for (FuncOptSlot& slot : slots) {
+            r.stats.merge(slot.stats);
+            for (PassFailure& fail : slot.failures)
+                r.diagnostics.push_back(std::move(fail));
+            if (traceOn)
+                tracer->append(slot.trace);
+        }
     }
-    // Deterministic merge: function-declaration order, single thread.
-    for (FuncOptSlot& slot : slots) {
-        r.stats.merge(slot.stats);
-        for (PassFailure& fail : slot.failures)
-            r.diagnostics.push_back(std::move(fail));
-        if (traceOn)
-            tracer->append(slot.trace);
-    }
-    Clock::time_point t2 = Clock::now();
 
     r.stats.set("ir.static.loads", r.staticLoads());
     r.stats.set("ir.static.stores", r.staticStores());
-    // §7.1: CASH spends about half its time in the optimizers; record
-    // the same split (verification time counts toward optimization).
-    r.stats.set("time.frontend.us", us(t0, t1));
-    // Pegasus construction, a sub-span of the frontend.
-    r.stats.set("time.build.us", us(tb, t1));
-    r.stats.set("time.optimize.us", us(t1, t2));
     return r;
 }
 

@@ -38,17 +38,18 @@
 namespace cash {
 
 /**
- * Compilation options, usable both ways:
- *   - aggregate (source-compatible with older code):
+ * Compilation options, set either way:
+ *   - field assignment:
  *     `CompileOptions co; co.level = OptLevel::Medium;`
  *   - fluent builder:
  *     `CompileOptions().opt(OptLevel::Full).jobs(8).trace(&rec)`
  *
- * New fields must be appended at the END of the data members: several
- * callers positionally aggregate-initialize this struct.
+ * Not an aggregate (user-declared constructor): positional
+ * initialization does not compile, so field order is free.
  */
 struct CompileOptions
 {
+    CompileOptions() = default;
     OptLevel level = OptLevel::Full;
     /** Run the graph verifier after construction and each pass. */
     bool verify = true;

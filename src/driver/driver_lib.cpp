@@ -1,7 +1,7 @@
 #include "driver/driver_lib.h"
 
-#include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "analysis/interproc.h"
@@ -164,9 +164,7 @@ stripWallClock(const StatSet& stats)
 {
     StatSet out;
     for (const auto& [k, v] : stats.all()) {
-        if (k.rfind("time.", 0) == 0)
-            continue;
-        if (k.size() > 8 && k.compare(k.size() - 8, 8, ".time_us") == 0)
+        if (isWallClockKey(k))
             continue;
         if (stats.isGauge(k))
             out.set(k, v);
@@ -176,11 +174,12 @@ stripWallClock(const StatSet& stats)
     return out;
 }
 
-DriverReply
-runDriverRequest(const DriverRequest& req)
-{
-    DriverReply rep;
+namespace {
 
+/** runDriverRequest() inside its time.request.us timer. */
+void
+runRequestLayers(const DriverRequest& req, DriverReply& rep)
+{
     CompileOptions opts;
     opts.level = req.target.level;
     opts.verify = req.verify;
@@ -214,8 +213,10 @@ runDriverRequest(const DriverRequest& req)
         }
 
         if (req.analyze) {
-            using Clock = std::chrono::steady_clock;
-            const Clock::time_point t0 = Clock::now();
+            // Analysis wall time: the interprocedural model plus the
+            // lint rules.
+            ScopedTimer t(req.tracer, "analysis", "driver",
+                          &rep.compileStats, "time.analysis.us");
             // Fresh interprocedural model over the *final* graphs: the
             // checker-side re-derivation that independently re-proves
             // every pruned cross-call edge (analysis/interproc.h).
@@ -230,13 +231,6 @@ runDriverRequest(const DriverRequest& req)
                 lctx.tracer = req.tracer;
             LintReport report =
                 runLints(r.graphPtrs(), lctx, req.analyzeRules);
-            // Analysis wall time: the interprocedural model plus the
-            // lint rules.
-            rep.compileStats.set(
-                "time.analysis.us",
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    Clock::now() - t0)
-                    .count());
             rep.findings = report.findings;
             rep.ranAnalysis = true;
             rep.analysisErrors = report.errors();
@@ -255,7 +249,7 @@ runDriverRequest(const DriverRequest& req)
             if (!st) {
                 rep.fatal = st.message();
                 rep.exitCode = 1;
-                return rep;
+                return;
             }
             MemConfig mc = MemConfig::realistic(2);
             SimEngine engine = SimEngine::Macro;
@@ -263,7 +257,7 @@ runDriverRequest(const DriverRequest& req)
             if (!st) {
                 rep.fatal = st.message();
                 rep.exitCode = 1;
-                return rep;
+                return;
             }
             rep.memName = mc.name;
 
@@ -273,40 +267,39 @@ runDriverRequest(const DriverRequest& req)
             FabricSession fabric;
             const FabricSession* fabricPtr = nullptr;
             if (!req.target.fabric.trivial()) {
+                ScopedTimer t(req.tracer, "fabric.place", "driver",
+                              &rep.simStats, "time.fabric.place.us");
                 fabric = placeAll(r.graphPtrs(), req.target.fabric);
                 fabricPtr = &fabric;
             }
 
-            // Simulation wall time (time.sim.*): construction (index
-            // build, region compile) and the run itself.
-            using Clock = std::chrono::steady_clock;
-            auto us = [](Clock::time_point a, Clock::time_point b) {
-                return static_cast<int64_t>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        b - a)
-                        .count());
-            };
-            const Clock::time_point t0 = Clock::now();
-            DataflowSimulator sim(r.graphPtrs(), *r.layout, mc,
-                                  engine, fabricPtr);
-            const Clock::time_point t1 = Clock::now();
+            // Construction: index build, region compile.
+            std::optional<DataflowSimulator> sim;
+            {
+                ScopedTimer t(req.tracer, "sim.setup", "driver",
+                              &rep.simStats, "time.sim.setup.us");
+                sim.emplace(r.graphPtrs(), *r.layout, mc, engine,
+                            fabricPtr);
+            }
             if (req.tracer && req.tracer->enabled())
-                sim.setTracer(req.tracer);
+                sim->setTracer(req.tracer);
             if (req.maxEvents)
-                sim.setMaxEvents(req.maxEvents);
+                sim->setMaxEvents(req.maxEvents);
             if (req.simWallMs)
-                sim.setWallBudgetMs(req.simWallMs);
+                sim->setWallBudgetMs(req.simWallMs);
             if (req.faults && !req.faults->empty())
-                sim.setFaultPlan(req.faults);
-            SimResult out = sim.run(fname, args);
-            const Clock::time_point t2 = Clock::now();
+                sim->setFaultPlan(req.faults);
+            const SimResult out = [&] {
+                ScopedTimer t(req.tracer, "sim.run", "driver",
+                              &rep.simStats, "time.sim.run.us");
+                return sim->run(fname, args);
+            }();
             rep.ranSim = true;
             rep.simOutcome = out.outcome;
             rep.returnValue = out.returnValue;
             rep.cycles = out.cycles;
-            rep.simStats = out.stats;
-            rep.simStats.set("time.sim.setup.us", us(t0, t1));
-            rep.simStats.set("time.sim.run.us", us(t1, t2));
+            // The simulator's own counters join the time.* keys above.
+            rep.simStats.merge(out.stats);
             if (out.ok()) {
                 rep.simStats.set("sim.returnValue",
                                  static_cast<int64_t>(out.returnValue));
@@ -320,6 +313,20 @@ runDriverRequest(const DriverRequest& req)
     } catch (const FatalError& e) {
         rep.fatal = e.what();
         rep.exitCode = 1;
+    }
+}
+
+} // namespace
+
+DriverReply
+runDriverRequest(const DriverRequest& req)
+{
+    DriverReply rep;
+    {
+        // The disjoint layer keys sum to at most this.
+        ScopedTimer t(req.tracer, "request", "driver", &rep.compileStats,
+                      "time.request.us");
+        runRequestLayers(req, rep);
     }
     return rep;
 }

@@ -175,9 +175,9 @@ Status parseRunSpec(const std::string& spec, std::string* function,
                     std::vector<uint32_t>* args);
 
 /**
- * Copy of @p stats without wall-clock counters ("time.*" prefix,
- * "*.time_us" suffix) — everything that remains is deterministic for
- * a fixed request, so it can be cached and byte-compared.
+ * Copy of @p stats without wall-clock counters (isWallClockKey()) —
+ * everything that remains is deterministic for a fixed request, so it
+ * can be cached and byte-compared.
  */
 StatSet stripWallClock(const StatSet& stats);
 

@@ -189,13 +189,6 @@ standardPipelineNames(OptLevel level)
     return names;
 }
 
-std::vector<std::unique_ptr<Pass>>
-standardPipeline(OptLevel level)
-{
-    return PassRegistry::global().createPipeline(
-        standardPipelineNames(level));
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -509,11 +502,12 @@ runIsolated(Pass& pass, Graph& g, OptContext& ctx, int round,
     return false;
 }
 
-/** Shared fixed-point driver; @p levelName annotates the span. */
+} // namespace
+
 int
-optimizeImpl(Graph& g,
-             const std::vector<std::unique_ptr<Pass>>& passes,
-             OptContext& ctx, const char* levelName)
+optimizeGraph(Graph& g,
+              const std::vector<std::unique_ptr<Pass>>& passes,
+              OptContext& ctx)
 {
     ScopedTimer whole(ctx.tracer, "optimize " + g.name, "opt.graph");
     const int maxRounds = 8;
@@ -542,26 +536,7 @@ optimizeImpl(Graph& g,
     g.compact();
     flushCounters(passes, st, ctx);
     whole.arg("rounds", round);
-    if (levelName)
-        whole.arg("level", levelName);
     return round;
-}
-
-} // namespace
-
-int
-optimizeGraph(Graph& g,
-              const std::vector<std::unique_ptr<Pass>>& passes,
-              OptContext& ctx)
-{
-    return optimizeImpl(g, passes, ctx, nullptr);
-}
-
-int
-optimizeGraph(Graph& g, OptLevel level, OptContext& ctx)
-{
-    return optimizeImpl(g, standardPipeline(level), ctx,
-                        optLevelName(level));
 }
 
 } // namespace cash

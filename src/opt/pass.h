@@ -201,9 +201,6 @@ class PassRegistry
 /** The pass-name sequence of the standard pipeline for @p level. */
 std::vector<std::string> standardPipelineNames(OptLevel level);
 
-/** The instantiated standard pipeline for @p level. */
-std::vector<std::unique_ptr<Pass>> standardPipeline(OptLevel level);
-
 /**
  * Run @p passes over @p g until a fixed point (bounded rounds).
  * Returns the number of rounds executed.
@@ -211,9 +208,6 @@ std::vector<std::unique_ptr<Pass>> standardPipeline(OptLevel level);
 int optimizeGraph(Graph& g,
                   const std::vector<std::unique_ptr<Pass>>& passes,
                   OptContext& ctx);
-
-/** Convenience: optimizeGraph with the standard pipeline of @p level. */
-int optimizeGraph(Graph& g, OptLevel level, OptContext& ctx);
 
 } // namespace cash
 

@@ -78,4 +78,12 @@ StatSet::str() const
     return os.str();
 }
 
+bool
+isWallClockKey(const std::string& name)
+{
+    return name.rfind("time.", 0) == 0 ||
+           (name.size() > 8 &&
+            name.compare(name.size() - 8, 8, ".time_us") == 0);
+}
+
 } // namespace cash

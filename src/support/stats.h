@@ -78,6 +78,10 @@ class StatSet
     std::set<std::string> gauges_;
 };
 
+/** True for a wall-clock (the only non-deterministic) counter:
+ *  `time.*` or `*.time_us`. */
+bool isWallClockKey(const std::string& name);
+
 } // namespace cash
 
 #endif // CASH_SUPPORT_STATS_H

@@ -190,19 +190,36 @@ TraceRecorder::chromeTraceJson() const
 }
 
 ScopedTimer::ScopedTimer(TraceRecorder* rec, std::string name,
-                         std::string cat)
+                         std::string cat, StatSet* stats, const char* key,
+                         Write write)
     : rec_(rec && rec->enabled() ? rec : nullptr),
+      stats_(stats && key ? stats : nullptr), key_(key), write_(write),
       name_(std::move(name)), cat_(std::move(cat))
 {
-    if (rec_)
-        startUs_ = rec_->nowUs();
+    if (rec_ || stats_)
+        startUs_ = nowUs();
 }
 
 ScopedTimer::~ScopedTimer()
 {
+    if (!rec_ && !stats_)
+        return;
+    const uint64_t durUs = nowUs() - startUs_;
+    if (stats_ && write_ == Write::Add)
+        stats_->add(key_, static_cast<int64_t>(durUs));
+    else if (stats_)
+        stats_->set(key_, static_cast<int64_t>(durUs));
     if (rec_)
-        rec_->completeEvent(name_, cat_, startUs_, elapsedUs(),
+        rec_->completeEvent(name_, cat_, startUs_, durUs,
                             std::move(args_));
+}
+
+uint64_t
+ScopedTimer::nowUs() const
+{
+    // The recorder's timeline when tracing, so the span's ts/dur and
+    // the key agree; otherwise the same clock from its own epoch.
+    return rec_ ? rec_->nowUs() : wallNs() / 1000;
 }
 
 void
@@ -217,12 +234,6 @@ ScopedTimer::arg(const std::string& key, const std::string& v)
 {
     if (rec_)
         args_.emplace_back(key, v);
-}
-
-uint64_t
-ScopedTimer::elapsedUs() const
-{
-    return rec_ ? rec_->nowUs() - startUs_ : 0;
 }
 
 TraceRecorder&

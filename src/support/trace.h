@@ -165,14 +165,22 @@ class TraceRecorder
 };
 
 /**
- * RAII span: records one complete event on destruction.  Does nothing
- * when @p rec is null or disabled.  Accumulate event arguments with
+ * RAII timer, the one way a request layer is timed.  On destruction it
+ * writes the elapsed microseconds under @p key in @p stats (set(), or
+ * add() for a key summed over several spans) and, when @p rec is
+ * enabled, records a complete event whose `dur` is that same value.
+ * With neither it reads no clock.  @p stats and @p key (a string
+ * literal) must outlive the timer.  Accumulate event arguments with
  * arg() while the span is open.
  */
 class ScopedTimer
 {
   public:
-    ScopedTimer(TraceRecorder* rec, std::string name, std::string cat);
+    enum class Write { Set, Add };  ///< How the time lands under key.
+
+    ScopedTimer(TraceRecorder* rec, std::string name, std::string cat,
+                StatSet* stats = nullptr, const char* key = nullptr,
+                Write write = Write::Set);
     ~ScopedTimer();
     ScopedTimer(const ScopedTimer&) = delete;
     ScopedTimer& operator=(const ScopedTimer&) = delete;
@@ -180,11 +188,13 @@ class ScopedTimer
     void arg(const std::string& key, int64_t v);
     void arg(const std::string& key, const std::string& v);
 
-    /** Wall time since construction, in microseconds. */
-    uint64_t elapsedUs() const;
-
   private:
+    uint64_t nowUs() const;
+
     TraceRecorder* rec_;
+    StatSet* stats_;
+    const char* key_;
+    Write write_;
     std::string name_;
     std::string cat_;
     uint64_t startUs_ = 0;

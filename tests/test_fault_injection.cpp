@@ -34,9 +34,7 @@ statsFingerprint(const StatSet& stats)
 {
     std::string out;
     for (const auto& [k, v] : stats.all()) {
-        if (k.rfind("time.", 0) == 0)
-            continue;
-        if (k.size() > 8 && k.compare(k.size() - 8, 8, ".time_us") == 0)
+        if (isWallClockKey(k))
             continue;
         out += k + "=" + std::to_string(v) + "\n";
     }

@@ -31,9 +31,7 @@ statsFingerprint(const StatSet& stats)
 {
     std::string out;
     for (const auto& [k, v] : stats.all()) {
-        if (k.rfind("time.", 0) == 0)
-            continue;
-        if (k.size() > 8 && k.compare(k.size() - 8, 8, ".time_us") == 0)
+        if (isWallClockKey(k))
             continue;
         out += k + "=" + std::to_string(v) + "\n";
     }
@@ -347,18 +345,23 @@ TEST(CompileOptions, FluentBuilderSetsAllFields)
     EXPECT_EQ(co.passNames[0], "dead_code");
 }
 
-TEST(CompileOptions, AggregateInitStaysSourceCompatible)
+TEST(CompileOptions, BuilderOnlyNoAggregateInit)
 {
-    // Older embedders aggregate-initialize the leading (pre-builder)
-    // fields positionally, which compiles only while the type stays an
-    // aggregate.  The same configuration, spelled with the builder:
-    static_assert(std::is_aggregate_v<CompileOptions>);
+    // Positional aggregate init does not compile (the default
+    // constructor is user-declared), so fields may be reordered.  The
+    // builder and field assignment are the two spellings:
+    static_assert(!std::is_aggregate_v<CompileOptions>);
     CompileOptions co =
         CompileOptions().opt(OptLevel::Medium).verification(true).pointsTo(
             true);
     EXPECT_EQ(co.level, OptLevel::Medium);
     EXPECT_EQ(co.numJobs, 0);
     EXPECT_TRUE(co.passNames.empty());
+    CompileOptions assigned;
+    assigned.level = OptLevel::Medium;
+    EXPECT_EQ(assigned.level, co.level);
+    EXPECT_EQ(assigned.verify, co.verify);
+    EXPECT_EQ(assigned.pointsToInConstruction, co.pointsToInConstruction);
     CompileResult r =
         compileSource("int f(int a) { return a + 1; }", co);
     EXPECT_EQ(r.graphs.size(), 1u);

@@ -7,7 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstring>
 
 #include "benchsuite/kernels.h"
@@ -396,6 +398,140 @@ TEST(Trace, BuildTimeIsASubSpanOfTheFrontend)
     EXPECT_NE(statsJsonDocument(rep, statsJsonMeta(req, "saxpy"))
                   .find("time.build.us"),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// One timer per request layer: every layer key of runDriverRequest is
+// written by the ScopedTimer that owns the layer's span.
+// ---------------------------------------------------------------------
+
+/** A disjoint request layer: its key, its span and its map. */
+struct LayerKey
+{
+    const char* key;
+    const char* span;
+    bool inSim;  ///< In DriverReply::simStats, else compileStats.
+};
+
+/**
+ * The disjoint layers; they sum to at most time.request.us.  The first
+ * kFrontendPhases nest inside time.frontend.us.
+ */
+constexpr size_t kFrontendPhases = 6;
+const LayerKey kLayerKeys[] = {
+    {"time.parse.us", "parse+sema", false},
+    {"time.layout.us", "layout", false},
+    {"time.lower.us", "lower", false},
+    {"time.points_to.us", "points-to", false},
+    {"time.modref.us", "modref", false},
+    {"time.build.us", "build-pegasus", false},
+    {"time.optimize.us", "optimize", false},
+    {"time.analysis.us", "analysis", false},
+    {"time.fabric.place.us", "fabric.place", true},
+    {"time.sim.setup.us", "sim.setup", true},
+    {"time.sim.run.us", "sim.run", true},
+};
+
+/** A request that reaches every layer: analysis, fabric, simulation. */
+DriverRequest
+everyLayerRequest()
+{
+    const Kernel& k = kernelByName("saxpy");
+    DriverRequest req;
+    req.source = k.source;
+    req.jobs = 1;
+    req.analyze = true;
+    EXPECT_TRUE(req.target.merge("fabric=2x2").isOk());
+    req.runSpec = k.entry + "(";
+    for (size_t i = 0; i < k.args.size(); i++)
+        req.runSpec += (i ? "," : "") + std::to_string(k.args[i]);
+    req.runSpec += ")";
+    return req;
+}
+
+int64_t
+layerValue(const DriverReply& rep, const LayerKey& l)
+{
+    return (l.inSim ? rep.simStats : rep.compileStats).get(l.key);
+}
+
+TEST(Trace, LayerKeysCoverTheRequest)
+{
+    const DriverRequest req = everyLayerRequest();
+    double bestShare = 0;
+    for (int run = 0; run < 5; run++) {
+        const auto t0 = std::chrono::steady_clock::now();
+        DriverReply rep = runDriverRequest(req);
+        const auto wallNs =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        ASSERT_EQ(rep.exitCode, 0) << rep.fatal << rep.simError;
+        ASSERT_TRUE(rep.ranSim && rep.ranAnalysis);
+
+        int64_t sum = 0;
+        for (const LayerKey& l : kLayerKeys) {
+            const StatSet& map = l.inSim ? rep.simStats : rep.compileStats;
+            EXPECT_TRUE(map.has(l.key)) << l.key;
+            sum += map.get(l.key);
+        }
+        for (const char* nested :
+             {"time.frontend.us", "time.verify.us", "time.request.us"})
+            EXPECT_TRUE(rep.compileStats.has(nested)) << nested;
+
+        // Each timer rounds its two clock reads to whole microseconds,
+        // so disjoint layers sum to at most their enclosing request,
+        // and the request to at most the wall rounded up.
+        const int64_t request = rep.compileStats.get("time.request.us");
+        EXPECT_LE(sum, request);
+        EXPECT_LE(request, (wallNs + 999) / 1000);
+        const int64_t frontend = rep.compileStats.get("time.frontend.us");
+        int64_t phases = 0;
+        for (size_t i = 0; i < kFrontendPhases; i++)
+            phases += layerValue(rep, kLayerKeys[i]);
+        EXPECT_LE(phases, frontend);
+        EXPECT_LE(frontend + rep.compileStats.get("time.optimize.us"),
+                  request);
+        if (request > 0)
+            bestShare = std::max(bestShare, static_cast<double>(sum) /
+                                                static_cast<double>(request));
+    }
+    EXPECT_GE(bestShare, 0.9);
+}
+
+TEST(Trace, LayerKeyEqualsItsSpan)
+{
+    const DriverRequest base = everyLayerRequest();
+    // Many runs: a key measured by clock reads of its own would agree
+    // with the span's whole microseconds only by chance, once in a
+    // while, not on every run.
+    for (int run = 0; run < 10; run++) {
+        TraceRecorder rec;
+        rec.enable();
+        DriverRequest req = base;
+        req.tracer = &rec;
+        DriverReply rep = runDriverRequest(req);
+        ASSERT_EQ(rep.exitCode, 0) << rep.fatal << rep.simError;
+
+        auto spanDur = [&](const std::string& name) -> int64_t {
+            const TraceEvent* found = nullptr;
+            for (const TraceEvent& ev : rec.events()) {
+                if (ev.phase != 'X' || ev.pid != kTraceWallPid ||
+                    ev.name != name)
+                    continue;
+                EXPECT_EQ(found, nullptr) << "two spans named " << name;
+                found = &ev;
+            }
+            EXPECT_NE(found, nullptr) << "no span named " << name;
+            return found ? static_cast<int64_t>(found->dur) : -1;
+        };
+        for (const LayerKey& l : kLayerKeys)
+            EXPECT_EQ(layerValue(rep, l), spanDur(l.span)) << l.key;
+        EXPECT_EQ(rep.compileStats.get("time.frontend.us"),
+                  spanDur("frontend"));
+        EXPECT_EQ(rep.compileStats.get("time.request.us"),
+                  spanDur("request"));
+    }
 }
 
 TEST(Trace, SimulatorRecordsActivationsAndCounters)
