@@ -26,11 +26,50 @@
  * metas `manager_share_j1` and `cleanup_share_j1` (wide and suite
  * together) are what CI gates against
  * bench/baselines/BENCH_compile_throughput.json.
+ *
+ * Every row also reports `allocs_per_compile`: heap allocations per
+ * compileSource() call, counted by a replacement of the global
+ * operator new in this bench binary only.  A count, not a time, it is
+ * the same on every runner; meta `allocs_per_compile_j1` (the -j1
+ * rows, wide and suite together) is gated against the baseline too.
  */
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 
 #include "bench_util.h"
 #include "support/thread_pool.h"
+
+namespace {
+
+/** Heap allocations made by this process so far. */
+std::atomic<int64_t> gAllocations{0};
+
+} // namespace
+
+// Counting global allocator: plain malloc/free plus a tally.  The
+// array, nothrow and sized forms all forward to these two.
+void*
+operator new(std::size_t n)
+{
+    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 using namespace cash;
 
@@ -77,6 +116,8 @@ statsFingerprint(const StatSet& stats)
 struct Measurement
 {
     int64_t functions = 0;   ///< Functions optimized over all reps.
+    int64_t compiles = 0;    ///< compileSource() calls.
+    int64_t allocations = 0; ///< Heap allocations over all of them.
     double wallUs = 0;
     std::string fingerprint; ///< Determinism cross-check.
     int64_t optimizeUs = 0;  ///< Sum of time.optimize.us.
@@ -100,6 +141,17 @@ struct Measurement
         optimizeUs += m.optimizeUs;
         passBodyUs += m.passBodyUs;
         cleanupUs += m.cleanupUs;
+        compiles += m.compiles;
+        allocations += m.allocations;
+    }
+
+    /** Heap allocations per compileSource() call. */
+    double
+    allocsPerCompile() const
+    {
+        return compiles > 0 ? static_cast<double>(allocations) /
+                                  static_cast<double>(compiles)
+                            : 0;
     }
 
     /** Share of optimize time outside pass bodies; 0 when unmeasured. */
@@ -127,10 +179,12 @@ Measurement
 measureWide(const std::string& src, int jobs, int reps)
 {
     Measurement m;
+    const int64_t allocs0 = gAllocations.load();
     Clock::time_point t0 = Clock::now();
     for (int rep = 0; rep < reps; rep++) {
         CompileResult r = compileSource(
             src, CompileOptions().opt(OptLevel::Full).jobs(jobs));
+        m.compiles++;
         m.functions += static_cast<int64_t>(r.graphs.size());
         m.addTimes(r.stats);
         if (rep == 0)
@@ -139,6 +193,7 @@ measureWide(const std::string& src, int jobs, int reps)
     m.wallUs = std::chrono::duration<double, std::micro>(Clock::now() -
                                                          t0)
                    .count();
+    m.allocations = gAllocations.load() - allocs0;
     return m;
 }
 
@@ -147,12 +202,14 @@ measureSuite(int jobs, int reps)
 {
     Measurement m;
     std::vector<Kernel> suite = benchutil::suiteForRun();
+    const int64_t allocs0 = gAllocations.load();
     Clock::time_point t0 = Clock::now();
     for (int rep = 0; rep < reps; rep++) {
         for (const Kernel& k : suite) {
             CompileResult r = compileSource(
                 k.source,
                 CompileOptions().opt(OptLevel::Full).jobs(jobs));
+            m.compiles++;
             m.functions += static_cast<int64_t>(r.graphs.size());
             m.addTimes(r.stats);
             if (rep == 0)
@@ -162,6 +219,7 @@ measureSuite(int jobs, int reps)
     m.wallUs = std::chrono::duration<double, std::micro>(Clock::now() -
                                                          t0)
                    .count();
+    m.allocations = gAllocations.load() - allocs0;
     return m;
 }
 
@@ -185,11 +243,12 @@ reportRows(benchutil::BenchReport& report, const std::string& workload,
                    {"funcs_per_sec", perSec},
                    {"speedup_vs_j1", speedup},
                    {"manager_share", share},
-                   {"cleanup_share", cleanup}});
-    std::printf("%-8s %5d %10lld %12.0f %14.0f %10.2fx %9.3f %9.3f\n",
+                   {"cleanup_share", cleanup},
+                   {"allocs_per_compile", m.allocsPerCompile()}});
+    std::printf("%-8s %5d %10lld %12.0f %14.0f %10.2fx %9.3f %9.3f %10.0f\n",
                 workload.c_str(), jobs,
                 static_cast<long long>(m.functions), m.wallUs, perSec,
-                speedup, share, cleanup);
+                speedup, share, cleanup, m.allocsPerCompile());
 }
 
 } // namespace
@@ -214,10 +273,10 @@ main()
     std::printf("(%d hardware threads; wide = one %d-function unit, "
                 "suite = Table-2 kernels)\n\n",
                 hw, wideFuncs);
-    std::printf("%-8s %5s %10s %12s %14s %11s %9s %9s\n", "workload",
+    std::printf("%-8s %5s %10s %12s %14s %11s %9s %9s %10s\n", "workload",
                 "jobs", "functions", "wall_us", "funcs/sec", "speedup",
-                "mgr_share", "cln_share");
-    benchutil::rule(86);
+                "mgr_share", "cln_share", "allocs");
+    benchutil::rule(97);
 
     benchutil::BenchReport report("compile_throughput");
     report.meta("hardware_threads", hw);
@@ -263,11 +322,14 @@ main()
 
     report.meta("manager_share_j1", serial.managerShare());
     report.meta("cleanup_share_j1", serial.cleanupShare());
+    report.meta("allocs_per_compile_j1", serial.allocsPerCompile());
     std::printf("\npass-manager share of -j1 optimize time: %.3f\n",
                 serial.managerShare());
     std::printf("cleanup (scalar_opts + dead_code) share of -j1 pass-body "
                 "time: %.3f\n",
                 serial.cleanupShare());
+    std::printf("heap allocations per -j1 compile: %.0f\n",
+                serial.allocsPerCompile());
     report.write();
     return 0;
 }

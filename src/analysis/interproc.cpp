@@ -1,5 +1,7 @@
 #include "analysis/interproc.h"
 
+#include <algorithm>
+
 namespace cash {
 
 namespace {
@@ -21,6 +23,24 @@ globalsContaining(int64_t v, const MemoryLayout& layout)
 }
 
 } // namespace
+
+void
+InterprocModel::PathMarks::begin(const Graph& g)
+{
+    if (++epoch_ == 0) {
+        std::fill(mark_.begin(), mark_.end(), 0);
+        epoch_ = 1;
+    }
+    if (mark_.size() < static_cast<size_t>(g.idLimit()))
+        mark_.resize(static_cast<size_t>(g.idLimit()), 0);
+}
+
+InterprocModel::PathMarks&
+InterprocModel::threadMarks()
+{
+    thread_local PathMarks marks;
+    return marks;
+}
 
 InterprocModel::InterprocModel(
     const std::vector<const Graph*>& graphs,
@@ -52,6 +72,7 @@ InterprocModel::InterprocModel(
     // condensation is needed (deliberately unlike analysis/modref.cpp).
     ref_.assign(n, LocationSet());
     mod_.assign(n, LocationSet());
+    PathMarks path;
     bool changed = true;
     int rounds = 0;
     while (changed && rounds++ < 64) {
@@ -62,10 +83,10 @@ InterprocModel::InterprocModel(
             g.forEach([&](Node* node) {
                 switch (node->kind) {
                   case NodeKind::Load:
-                    r.unionWith(addrSet(g, fi, node));
+                    r.unionWith(addrSet(g, fi, node, path));
                     break;
                   case NodeKind::Store:
-                    m.unionWith(addrSet(g, fi, node));
+                    m.unionWith(addrSet(g, fi, node, path));
                     break;
                   case NodeKind::Call: {
                     int ci = functionIndex(node->callee);
@@ -75,9 +96,9 @@ InterprocModel::InterprocModel(
                         break;
                     }
                     r.unionWith(
-                        translate(ref_[ci], ci, g, fi, node));
+                        translate(ref_[ci], ci, g, fi, node, path));
                     m.unionWith(
-                        translate(mod_[ci], ci, g, fi, node));
+                        translate(mod_[ci], ci, g, fi, node, path));
                     break;
                   }
                   default:
@@ -104,14 +125,14 @@ InterprocModel::functionIndex(const FuncDecl* decl) const
 
 LocationSet
 InterprocModel::evalPtr(const Graph& g, int fnIdx, PortRef v,
-                        std::set<const Node*>& visiting) const
+                        PathMarks& path) const
 {
     if (!v.valid())
         return LocationSet::top();
     const Node* n = v.node;
-    if (visiting.count(n))
+    if (path.on(n))
         return LocationSet();  // cycle: entries come from outside
-    visiting.insert(n);
+    path.enter(n);
     LocationSet out;
     switch (n->kind) {
       case NodeKind::Const:
@@ -175,23 +196,23 @@ InterprocModel::evalPtr(const Graph& g, int fnIdx, PortRef v,
         // Pointer arithmetic keeps the base objects; union over all
         // operands covers whichever side carries the pointer.
         for (const PortRef& in : n->inputs())
-            out.unionWith(evalPtr(g, fnIdx, in, visiting));
+            out.unionWith(evalPtr(g, fnIdx, in, path));
         break;
       }
       case NodeKind::Mux:
         // [p0, d0, p1, d1, ...]: only the data arms flow through.
         for (int i = 1; i < n->numInputs(); i += 2)
-            out.unionWith(evalPtr(g, fnIdx, n->input(i), visiting));
+            out.unionWith(evalPtr(g, fnIdx, n->input(i), path));
         break;
       case NodeKind::Merge:
         for (int i = 0; i < n->numInputs(); i++) {
             if (i == n->deciderIndex)
                 continue;
-            out.unionWith(evalPtr(g, fnIdx, n->input(i), visiting));
+            out.unionWith(evalPtr(g, fnIdx, n->input(i), path));
         }
         break;
       case NodeKind::Eta:
-        out = evalPtr(g, fnIdx, n->input(0), visiting);
+        out = evalPtr(g, fnIdx, n->input(0), path);
         break;
       case NodeKind::Load:
       case NodeKind::Call:
@@ -203,26 +224,26 @@ InterprocModel::evalPtr(const Graph& g, int fnIdx, PortRef v,
         // Tokens, predicates and other plumbing address nothing.
         break;
     }
-    visiting.erase(n);
+    path.leave(n);
     return out;
 }
 
 LocationSet
-InterprocModel::addrSet(const Graph& g, int fnIdx,
-                        const Node* access) const
+InterprocModel::addrSet(const Graph& g, int fnIdx, const Node* access,
+                        PathMarks& path) const
 {
     // Load: [pred, token, addr]; Store: [pred, token, addr, value].
     if (access->numInputs() < 3)
         return LocationSet::top();
-    std::set<const Node*> visiting;
-    LocationSet s = evalPtr(g, fnIdx, access->input(2), visiting);
+    path.begin(g);
+    LocationSet s = evalPtr(g, fnIdx, access->input(2), path);
     return s.empty() ? LocationSet::top() : s;
 }
 
 LocationSet
 InterprocModel::translate(const LocationSet& calleeSet, int calleeIdx,
                           const Graph& callerG, int callerIdx,
-                          const Node* call) const
+                          const Node* call, PathMarks& path) const
 {
     if (calleeSet.isTop())
         return LocationSet::top();
@@ -246,9 +267,9 @@ InterprocModel::translate(const LocationSet& calleeSet, int calleeIdx,
         // Call: [pred, token, arg...] — argument p is input 2 + p.
         if (param < 0 || 2 + param >= call->numInputs())
             return LocationSet::top();
-        std::set<const Node*> visiting;
+        path.begin(callerG);
         LocationSet arg = evalPtr(callerG, callerIdx,
-                                  call->input(2 + param), visiting);
+                                  call->input(2 + param), path);
         if (arg.isTop() || arg.empty())
             return LocationSet::top();
         out.unionWith(arg);
@@ -262,7 +283,8 @@ InterprocModel::callReadSet(const Graph& g, const Node* call) const
     int ci = functionIndex(call->callee);
     if (ci < 0)
         return LocationSet::top();
-    return translate(ref_[ci], ci, g, functionIndex(g.decl), call);
+    return translate(ref_[ci], ci, g, functionIndex(g.decl), call,
+                     threadMarks());
 }
 
 LocationSet
@@ -271,7 +293,8 @@ InterprocModel::callWriteSet(const Graph& g, const Node* call) const
     int ci = functionIndex(call->callee);
     if (ci < 0)
         return LocationSet::top();
-    return translate(mod_[ci], ci, g, functionIndex(g.decl), call);
+    return translate(mod_[ci], ci, g, functionIndex(g.decl), call,
+                     threadMarks());
 }
 
 const LocationSet*
@@ -291,8 +314,9 @@ InterprocModel::funcMod(const FuncDecl* decl) const
 LocationSet
 InterprocModel::pointsTo(const Graph& g, PortRef v) const
 {
-    std::set<const Node*> visiting;
-    return evalPtr(g, functionIndex(g.decl), v, visiting);
+    PathMarks& path = threadMarks();
+    path.begin(g);
+    return evalPtr(g, functionIndex(g.decl), v, path);
 }
 
 } // namespace cash

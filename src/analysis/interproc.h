@@ -28,7 +28,6 @@
 #define CASH_ANALYSIS_INTERPROC_H
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -79,14 +78,37 @@ class InterprocModel
     LocationSet pointsTo(const Graph& g, PortRef v) const;
 
   private:
+    /**
+     * The nodes on evalPtr()'s current walk path, by node id: a node
+     * is on the path while its mark equals the walk's epoch.  Kept by
+     * the caller across queries, so a walk allocates nothing once the
+     * marks cover the graph.
+     */
+    class PathMarks
+    {
+      public:
+        /** Start a top-level walk over @p g: no node is on the path. */
+        void begin(const Graph& g);
+        bool on(const Node* n) const { return mark_[n->id] == epoch_; }
+        void enter(const Node* n) { mark_[n->id] = epoch_; }
+        void leave(const Node* n) { mark_[n->id] = 0; }
+
+      private:
+        std::vector<uint32_t> mark_;
+        uint32_t epoch_ = 0;
+    };
+
     int functionIndex(const FuncDecl* decl) const;
     LocationSet evalPtr(const Graph& g, int fnIdx, PortRef v,
-                        std::set<const Node*>& visiting) const;
-    LocationSet addrSet(const Graph& g, int fnIdx, const Node* access)
-        const;
+                        PathMarks& path) const;
+    LocationSet addrSet(const Graph& g, int fnIdx, const Node* access,
+                        PathMarks& path) const;
     LocationSet translate(const LocationSet& calleeSet, int calleeIdx,
                           const Graph& callerG, int callerIdx,
-                          const Node* call) const;
+                          const Node* call, PathMarks& path) const;
+    /** The calling thread's marks, for the public queries: the model
+     *  is shared read-only by concurrent optimization workers. */
+    static PathMarks& threadMarks();
 
     const MemoryLayout& layout_;
     std::vector<std::vector<int>> paramLoc_;

@@ -113,11 +113,11 @@ class RedundantTokenEdgeRule : public LintRule
     {
         const Graph& g = lg.graph();
         const OrderingChecker& checker = lg.checker();
+        std::vector<const Node*> sources;
         for (const Node* n : checker.tokenNodes()) {
             if (n->tokenInIndex() < 0)
                 continue;
-            std::vector<const Node*> sources =
-                OrderingChecker::orderingSources(n);
+            OrderingChecker::orderingSources(n, sources);
             if (sources.size() < 2)
                 continue;
             for (const Node* u : sources) {
@@ -222,8 +222,7 @@ class UnprovablePragmaRule : public LintRule
             for (const Node* n : g.liveNodes()) {
                 if (!n->isMemoryAccess() || n->rwSet.isTop())
                     continue;
-                const std::set<int>& locs = n->rwSet.locations();
-                if (!locs.count(a) || !locs.count(b))
+                if (!n->rwSet.contains(a) || !n->rwSet.contains(b))
                     continue;
                 LintFinding f;
                 f.rule = "unprovable-pragma";
@@ -280,6 +279,7 @@ class MergeableResidueRule : public LintRule
                 ops.push_back(n);
         }
         Reachability reach(g);
+        std::vector<const Node*> sourcesA, sourcesB;
         for (size_t i = 0; i < ops.size(); i++) {
             for (size_t j = i + 1; j < ops.size(); j++) {
                 const Node* a = ops[i];
@@ -290,8 +290,9 @@ class MergeableResidueRule : public LintRule
                     a->signExtend != b->signExtend ||
                     !(a->input(2) == b->input(2)))
                     continue;
-                if (OrderingChecker::orderingSources(a) !=
-                    OrderingChecker::orderingSources(b))
+                OrderingChecker::orderingSources(a, sourcesA);
+                OrderingChecker::orderingSources(b, sourcesB);
+                if (sourcesA != sourcesB)
                     continue;
                 // Same cycle guard the merger applies: a pair it
                 // would refuse to merge is not residue.
@@ -330,7 +331,7 @@ subsetOf(const LocationSet& a, const LocationSet& b)
     if (a.isTop())
         return false;
     for (int loc : a.locations())
-        if (!b.locations().count(loc))
+        if (!b.contains(loc))
             return false;
     return true;
 }
@@ -396,6 +397,7 @@ class PrunableCallEdgeRule : public LintRule
         const Graph& g = lg.graph();
         if (!ctx.oracle || !ctx.interproc)
             return;
+        std::vector<const Node*> sources;
         for (const Node* n : g.liveNodes()) {
             if (n->kind != NodeKind::Load &&
                 n->kind != NodeKind::Store &&
@@ -404,7 +406,8 @@ class PrunableCallEdgeRule : public LintRule
             LocationSet rn, wn;
             if (!interprocEffects(g, n, *ctx.interproc, &rn, &wn))
                 continue;
-            for (const Node* j : OrderingChecker::orderingSources(n)) {
+            OrderingChecker::orderingSources(n, sources);
+            for (const Node* j : sources) {
                 if (n->kind != NodeKind::Call &&
                     j->kind != NodeKind::Call)
                     continue;  // intraprocedural pairs: token_removal

@@ -9,7 +9,8 @@
 #ifndef CASH_ANALYSIS_LOOP_RINGS_H
 #define CASH_ANALYSIS_LOOP_RINGS_H
 
-#include <optional>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pegasus/graph.h"
@@ -24,7 +25,8 @@ struct TokenRing
     Node* backEta = nullptr;      ///< Eta feeding the merge's back input.
     PortRef backPred;             ///< Loop-continuation predicate.
     std::vector<PortRef> initialInputs;  ///< Non-back merge inputs.
-    std::vector<Node*> ops;       ///< Memory ops ordered by this ring.
+    /** Memory ops ordered by this ring, in node-id order. */
+    std::vector<Node*> ops;
     std::vector<Node*> exitEtas;  ///< Token etas taking the final state.
     /** Ops whose token output is not consumed by another ring op. */
     std::vector<Node*> danglingOps;
@@ -33,26 +35,44 @@ struct TokenRing
 };
 
 /**
- * The live nodes of each hyperblock of a graph, in node order: what
- * findTokenRing() scans.  Built on first use; a pass keeps one per run
- * and calls invalidate() after a rewrite that creates nodes (a ring
- * split).  Nodes erased since the build are skipped at lookup.
+ * A pass's scratch for findTokenRing(): the live nodes of each
+ * hyperblock of a graph, in node order, and the buffers of the ring's
+ * token walks.  A pass keeps one across its runs, calls reset() at the
+ * start of each run and invalidate() after a rewrite that creates
+ * nodes (a ring split); the buckets are rebuilt on the next lookup
+ * into the buffers of the last build.  Nodes erased since the build
+ * are skipped at lookup.
  */
 class HyperblockNodes
 {
   public:
-    explicit HyperblockNodes(const Graph& g) : g_(g) {}
+    /** Bind to @p g; the next of() rebuilds the buckets. */
+    void
+    reset(const Graph& g)
+    {
+        g_ = &g;
+        built_ = false;
+    }
 
     /** The nodes of hyperblock @p hb (0 <= hb < hyperblocks.size()). */
-    const std::vector<Node*>& of(int hb);
+    std::span<Node* const> of(int hb);
 
     /** Drop the buckets; the next of() rebuilds them. */
     void invalidate() { built_ = false; }
 
   private:
-    const Graph& g_;
+    friend bool findTokenRing(Graph& g, HyperblockNodes& nodes, int hb,
+                              int partition, TokenRing& ring);
+
+    const Graph* g_ = nullptr;
     bool built_ = false;
-    std::vector<std::vector<Node*>> byHb_;
+    /** The buckets, hyperblock after hyperblock: hyperblock h holds
+     *  byHb_[start_[h], start_[h + 1]). */
+    std::vector<Node*> byHb_;
+    std::vector<uint32_t> start_;
+    /** findTokenRing()'s token-source and consumer walks. */
+    std::vector<PortRef> sources_;
+    std::vector<Node*> consumers_;
 };
 
 /**
@@ -62,10 +82,12 @@ class HyperblockNodes
  *  - the ring merge exists with exactly one back input, an eta in hb;
  *  - the hyperblock contains no call or return touching the partition;
  *  - every ring op's token sources are the merge or other ring ops.
- * Returns nullopt otherwise.
+ * Fills @p ring, reusing its lists, and returns true; returns false
+ * (leaving @p ring unspecified) otherwise.  @p nodes must be reset()
+ * to @p g.
  */
-std::optional<TokenRing> findTokenRing(Graph& g, HyperblockNodes& nodes,
-                                       int hb, int partition);
+bool findTokenRing(Graph& g, HyperblockNodes& nodes, int hb, int partition,
+                   TokenRing& ring);
 
 } // namespace cash
 

@@ -24,6 +24,48 @@ LocationSet::str() const
 }
 
 void
+LocationSet::unionWith(const LocationSet& other)
+{
+    if (other.isTop_)
+        isTop_ = true;
+    if (isTop_) {
+        locs_.clear();
+        return;
+    }
+    // Merge two ascending lists in place, from the back: count the
+    // ids new to this set, grow once, then fill from the end.
+    const int* a = locs_.begin();
+    const int* b = other.locs_.begin();
+    const size_t na = locs_.size(), nb = other.locs_.size();
+    size_t fresh = 0;
+    for (size_t i = 0, j = 0; j < nb;) {
+        if (i < na && a[i] < b[j]) {
+            i++;
+        } else {
+            if (i >= na || a[i] != b[j])
+                fresh++;
+            else
+                i++;
+            j++;
+        }
+    }
+    if (!fresh)
+        return;
+    locs_.resize(na + fresh);
+    int* out = locs_.data();
+    size_t i = na, j = nb, k = na + fresh;
+    while (j > 0) {
+        if (i > 0 && out[i - 1] > b[j - 1]) {
+            out[--k] = out[--i];
+        } else {
+            if (i > 0 && out[i - 1] == b[j - 1])
+                --i;
+            out[--k] = b[--j];
+        }
+    }
+}
+
+void
 AliasOracle::addIndependent(int a, int b)
 {
     independent_.insert({std::min(a, b), std::max(a, b)});

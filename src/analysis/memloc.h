@@ -17,17 +17,29 @@
 #ifndef CASH_ANALYSIS_MEMLOC_H
 #define CASH_ANALYSIS_MEMLOC_H
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "support/small_vector.h"
+
 namespace cash {
 
-/** A set of abstract location ids, with a Top element. */
+/**
+ * A set of abstract location ids, with a Top element.
+ *
+ * The ids are kept as a sorted flat array whose first two live inline,
+ * so the one- and two-location sets of nearly every memory access
+ * cost no heap allocation to build or copy.  Iteration is in
+ * ascending id order.
+ */
 class LocationSet
 {
   public:
+    using Locations = SmallVector<int, 2>;
+
     LocationSet() = default;
 
     static LocationSet
@@ -42,27 +54,33 @@ class LocationSet
     single(int loc)
     {
         LocationSet s;
-        s.locs_.insert(loc);
+        s.locs_.push_back(loc);
         return s;
     }
 
     bool isTop() const { return isTop_; }
     bool empty() const { return !isTop_ && locs_.empty(); }
-    const std::set<int>& locations() const { return locs_; }
+    /** The location ids, ascending (empty when Top). */
+    const Locations& locations() const { return locs_; }
 
-    void insert(int loc) { if (!isTop_) locs_.insert(loc); }
+    /** Is @p loc one of the listed locations (Top lists none)? */
+    bool
+    contains(int loc) const
+    {
+        return std::binary_search(locs_.begin(), locs_.end(), loc);
+    }
 
     void
-    unionWith(const LocationSet& other)
+    insert(int loc)
     {
-        if (other.isTop_)
-            isTop_ = true;
-        if (isTop_) {
-            locs_.clear();
+        if (isTop_)
             return;
-        }
-        locs_.insert(other.locs_.begin(), other.locs_.end());
+        const int* at = std::lower_bound(locs_.begin(), locs_.end(), loc);
+        if (at == locs_.end() || *at != loc)
+            locs_.insert(at, loc);
     }
+
+    void unionWith(const LocationSet& other);
 
     bool
     operator==(const LocationSet& o) const
@@ -74,7 +92,7 @@ class LocationSet
 
   private:
     bool isTop_ = false;
-    std::set<int> locs_;
+    Locations locs_;
 };
 
 /**

@@ -49,8 +49,9 @@ OrderingChecker::OrderingChecker(const Graph& g,
     : g_(g), oracle_(oracle), layout_(layout), interproc_(interproc)
 {
     buildTokenGraph();
-    buildClosure(/*includeBackEdges=*/true, reachAll_);
-    buildClosure(/*includeBackEdges=*/false, reachFwd_);
+    ClosureScratch scratch;
+    buildClosure(succAll_, reachAll_, scratch);
+    buildClosure(succFwd_, reachFwd_, scratch);
     buildHbReach();
     buildProductive();
     buildGates();
@@ -96,24 +97,45 @@ OrderingChecker::buildTokenGraph()
         if (si >= 0)
             sideEffectBits_[si / 64] |= uint64_t(1) << (si % 64);
     }
-    succAll_.assign(n, {});
-    succFwd_.assign(n, {});
-    for (int vi = 0; vi < n; vi++) {
-        const Node* v = tokenNodes_[vi];
-        for (int i = 0; i < v->numInputs(); i++) {
-            const PortRef& in = v->input(i);
-            if (!in.valid() || in.node->dead ||
-                in.node->outputType(in.port) != VT::Token)
-                continue;
-            int ui = tokenIndex(in.node);
-            if (ui < 0)
-                continue;
-            succAll_[ui].push_back(vi);
-            if (!v->inputIsBackEdge(i))
-                succFwd_[ui].push_back(vi);
-            stats_.tokenEdges++;
+    // Count each row's edges, then fill the rows in the same order:
+    // row u's count lands at start[u + 2], so after the prefix sums
+    // filling at start[u + 1]++ leaves start[u + 1] at row u's end.
+    auto forEachEdge = [&](auto&& fn) {
+        for (int vi = 0; vi < n; vi++) {
+            const Node* v = tokenNodes_[vi];
+            for (int i = 0; i < v->numInputs(); i++) {
+                const PortRef& in = v->input(i);
+                if (!in.valid() || in.node->dead ||
+                    in.node->outputType(in.port) != VT::Token)
+                    continue;
+                int ui = tokenIndex(in.node);
+                if (ui < 0)
+                    continue;
+                fn(ui, vi, !v->inputIsBackEdge(i));
+            }
         }
+    };
+    const size_t rows = static_cast<size_t>(n) + 2;
+    succAll_.start.assign(rows, 0);
+    succFwd_.start.assign(rows, 0);
+    forEachEdge([&](int u, int, bool fwd) {
+        succAll_.start[static_cast<size_t>(u) + 2]++;
+        if (fwd)
+            succFwd_.start[static_cast<size_t>(u) + 2]++;
+        stats_.tokenEdges++;
+    });
+    for (size_t k = 2; k < rows; k++) {
+        succAll_.start[k] += succAll_.start[k - 1];
+        succFwd_.start[k] += succFwd_.start[k - 1];
     }
+    succAll_.succ.resize(succAll_.start.back());
+    succFwd_.succ.resize(succFwd_.start.back());
+    forEachEdge([&](int u, int v, bool fwd) {
+        const size_t row = static_cast<size_t>(u) + 1;
+        succAll_.succ[succAll_.start[row]++] = v;
+        if (fwd)
+            succFwd_.succ[succFwd_.start[row]++] = v;
+    });
 }
 
 /**
@@ -123,99 +145,109 @@ OrderingChecker::buildTokenGraph()
  * shares the SCC's row (token rings are cycles: all mutually ordered).
  */
 void
-OrderingChecker::buildClosure(bool includeBackEdges,
-                              std::vector<uint64_t>& matrix)
+OrderingChecker::buildClosure(const EdgeRows& edges,
+                              std::vector<uint64_t>& matrix,
+                              ClosureScratch& sc)
 {
     const int n = static_cast<int>(tokenNodes_.size());
     matrix.assign(static_cast<size_t>(n) * words_, 0);
     if (n == 0)
         return;
-    const std::vector<std::vector<int>>& succ =
-        includeBackEdges ? succAll_ : succFwd_;
 
     // Iterative Tarjan SCC.
-    std::vector<int> low(n, -1), num(n, -1), sccOf(n, -1);
-    std::vector<bool> onStack(n, false);
-    std::vector<int> stack;
-    std::vector<std::vector<int>> sccs;
+    const size_t nn = static_cast<size_t>(n);
+    sc.low.assign(nn, -1);
+    sc.num.assign(nn, -1);
+    sc.sccOf.assign(nn, -1);
+    sc.onStack.assign(nn, 0);
+    sc.stack.clear();
+    sc.frames.clear();
+    sc.members.clear();
+    sc.sccStart.assign(1, 0);
+    std::vector<int>& low = sc.low;
+    std::vector<int>& num = sc.num;
+    std::vector<int>& sccOf = sc.sccOf;
     int counter = 0;
-    struct Frame
-    {
-        int v;
-        size_t next;
-    };
-    std::vector<Frame> frames;
+    int sccs = 0;
     for (int root = 0; root < n; root++) {
         if (num[root] != -1)
             continue;
-        frames.push_back({root, 0});
+        sc.frames.push_back({root, 0});
         num[root] = low[root] = counter++;
-        stack.push_back(root);
-        onStack[root] = true;
-        while (!frames.empty()) {
-            Frame& f = frames.back();
-            if (f.next < succ[f.v].size()) {
-                int w = succ[f.v][f.next++];
+        sc.stack.push_back(root);
+        sc.onStack[root] = 1;
+        while (!sc.frames.empty()) {
+            ClosureScratch::Frame& f = sc.frames.back();
+            const std::span<const int> succ = edges.of(f.v);
+            if (f.next < succ.size()) {
+                int w = succ[f.next++];
                 if (num[w] == -1) {
                     num[w] = low[w] = counter++;
-                    stack.push_back(w);
-                    onStack[w] = true;
-                    frames.push_back({w, 0});
-                } else if (onStack[w]) {
+                    sc.stack.push_back(w);
+                    sc.onStack[w] = 1;
+                    sc.frames.push_back({w, 0});
+                } else if (sc.onStack[w]) {
                     low[f.v] = std::min(low[f.v], num[w]);
                 }
             } else {
                 if (low[f.v] == num[f.v]) {
-                    sccs.emplace_back();
                     int w;
                     do {
-                        w = stack.back();
-                        stack.pop_back();
-                        onStack[w] = false;
-                        sccOf[w] = static_cast<int>(sccs.size()) - 1;
-                        sccs.back().push_back(w);
+                        w = sc.stack.back();
+                        sc.stack.pop_back();
+                        sc.onStack[w] = 0;
+                        sccOf[w] = sccs;
+                        sc.members.push_back(w);
                     } while (w != f.v);
+                    sc.sccStart.push_back(
+                        static_cast<uint32_t>(sc.members.size()));
+                    sccs++;
                 }
                 int v = f.v;
-                frames.pop_back();
-                if (!frames.empty())
-                    low[frames.back().v] =
-                        std::min(low[frames.back().v], low[v]);
+                sc.frames.pop_back();
+                if (!sc.frames.empty())
+                    low[sc.frames.back().v] =
+                        std::min(low[sc.frames.back().v], low[v]);
             }
         }
     }
+    auto sccSize = [&](int s) {
+        return sc.sccStart[static_cast<size_t>(s) + 1] -
+               sc.sccStart[static_cast<size_t>(s)];
+    };
 
     // Tarjan emits an SCC only after every SCC it can reach, so the
     // emission order is already reverse-topological: propagate rows in
     // that order.  row(S) = member bits of S ∪ rows of successor SCCs.
     const size_t w = static_cast<size_t>(words_);
-    std::vector<uint64_t> sccRow(sccs.size() * w, 0);
-    for (size_t s = 0; s < sccs.size(); s++) {
-        uint64_t* row = sccRow.data() + s * w;
-        for (int v : sccs[s]) {
+    sc.sccRow.assign(static_cast<size_t>(sccs) * w, 0);
+    for (int s = 0; s < sccs; s++) {
+        uint64_t* row = sc.sccRow.data() + static_cast<size_t>(s) * w;
+        for (uint32_t m = sc.sccStart[s]; m < sc.sccStart[s + 1]; m++) {
+            const int v = sc.members[m];
             row[v / 64] |= uint64_t(1) << (v % 64);
-            for (int x : succ[v]) {
-                if (sccOf[x] == static_cast<int>(s))
+            for (int x : edges.of(v)) {
+                if (sccOf[x] == s)
                     continue;
                 const uint64_t* other =
-                    sccRow.data() + static_cast<size_t>(sccOf[x]) * w;
+                    sc.sccRow.data() + static_cast<size_t>(sccOf[x]) * w;
                 for (size_t k = 0; k < w; k++)
                     row[k] |= other[k];
             }
         }
     }
     for (int v = 0; v < n; v++)
-        std::copy_n(sccRow.data() + static_cast<size_t>(sccOf[v]) * w, w,
-                    matrix.begin() + static_cast<size_t>(v) * w);
+        std::copy_n(sc.sccRow.data() + static_cast<size_t>(sccOf[v]) * w,
+                    w, matrix.begin() + static_cast<size_t>(v) * w);
 
     // Singleton SCC without a self-loop: drop the reflexive bit so the
     // relation is "reachable via at least one edge" plus ring mutuals.
     for (int v = 0; v < n; v++) {
-        if (sccs[sccOf[v]].size() > 1)
+        if (sccSize(sccOf[v]) > 1)
             continue;
         bool selfLoop = false;
-        for (int w : succ[v])
-            if (w == v)
+        for (int x : edges.of(v))
+            if (x == v)
                 selfLoop = true;
         if (!selfLoop)
             matrix[static_cast<size_t>(v) * words_ + v / 64] &=
@@ -233,12 +265,21 @@ OrderingChecker::buildHbReach()
         maxId = std::max(maxId, static_cast<size_t>(hb.id) + 1);
     hbCount_ = maxId;
     hbReach_.assign(maxId * maxId, false);
-    // Successor lists by hyperblock id (several HbInfo may share one).
-    std::vector<std::vector<int>> succ(maxId);
+    // Successor rows by hyperblock id (several HbInfo may share one):
+    // id h's successors are succ[start[h], start[h + 1]), in HbInfo
+    // order.
+    std::vector<uint32_t> start(maxId + 2, 0);
     for (const HbInfo& hb : g_.hyperblocks)
         if (hb.id >= 0)
-            succ[hb.id].insert(succ[hb.id].end(), hb.successors.begin(),
-                               hb.successors.end());
+            start[static_cast<size_t>(hb.id) + 2] +=
+                static_cast<uint32_t>(hb.successors.size());
+    for (size_t k = 2; k < start.size(); k++)
+        start[k] += start[k - 1];
+    std::vector<int> succ(start.back());
+    for (const HbInfo& hb : g_.hyperblocks)
+        if (hb.id >= 0)
+            for (int s : hb.successors)
+                succ[start[static_cast<size_t>(hb.id) + 1]++] = s;
     std::vector<int> work;
     for (const HbInfo& hb : g_.hyperblocks) {
         if (hb.id < 0 || static_cast<size_t>(hb.id) >= maxId)
@@ -250,7 +291,9 @@ OrderingChecker::buildHbReach()
         while (!work.empty()) {
             int cur = work.back();
             work.pop_back();
-            for (int s : succ[cur]) {
+            for (uint32_t k = start[static_cast<size_t>(cur)];
+                 k < start[static_cast<size_t>(cur) + 1]; k++) {
+                const int s = succ[k];
                 if (s < 0 || static_cast<size_t>(s) >= maxId || row[s])
                     continue;
                 row[s] = true;
@@ -344,13 +387,21 @@ OrderingChecker::buildGates()
     gateEta_.assign(static_cast<size_t>(n) * words_, 0);
     if (n == 0)
         return;
-    std::vector<std::vector<int>> inFwd(n);
-    std::vector<int> indeg(n, 0);
+    // Forward predecessors in rows, the transpose of succFwd_: v's
+    // are pred[start[v], start[v + 1]), ascending.
+    std::vector<uint32_t> start(static_cast<size_t>(n) + 2, 0);
+    for (int x : succFwd_.succ)
+        start[static_cast<size_t>(x) + 2]++;
+    for (size_t k = 2; k < start.size(); k++)
+        start[k] += start[k - 1];
+    std::vector<int> pred(succFwd_.succ.size());
     for (int u = 0; u < n; u++)
-        for (int v : succFwd_[u]) {
-            inFwd[v].push_back(u);
-            indeg[v]++;
-        }
+        for (int v : succFwd_.of(u))
+            pred[start[static_cast<size_t>(v) + 1]++] = u;
+    std::vector<int> indeg(n, 0);
+    for (int v = 0; v < n; v++)
+        indeg[v] = static_cast<int>(start[static_cast<size_t>(v) + 1] -
+                                    start[static_cast<size_t>(v)]);
     std::vector<int> work;
     for (int v = 0; v < n; v++)
         if (indeg[v] == 0)
@@ -362,7 +413,9 @@ OrderingChecker::buildGates()
         uint64_t* row = gateEta_.data() +
                         static_cast<size_t>(v) * words_;
         bool first = true;
-        for (int u : inFwd[v]) {
+        for (uint32_t k = start[static_cast<size_t>(v)];
+             k < start[static_cast<size_t>(v) + 1]; k++) {
+            const int u = pred[k];
             const uint64_t* urow =
                 gateEta_.data() + static_cast<size_t>(u) * words_;
             for (int w = 0; w < words_; w++) {
@@ -378,7 +431,7 @@ OrderingChecker::buildGates()
             first = false;
         }
         done[v] = true;
-        for (int s : succFwd_[v])
+        for (int s : succFwd_.of(v))
             if (--indeg[s] == 0)
                 work.push_back(s);
     }
@@ -591,8 +644,9 @@ OrderingChecker::mayConflict(size_t i, size_t j)
     return true;
 }
 
-std::vector<PortRef>
-OrderingChecker::accessPreds(const Node* n) const
+void
+OrderingChecker::accessPreds(const Node* n,
+                             SmallVector<PortRef, kMaxPreds>& preds) const
 {
     // Predicates that must be true for @p n to perform its memory
     // access: its own predicate input (a nullified access touches
@@ -603,11 +657,10 @@ OrderingChecker::accessPreds(const Node* n) const
     // false emits EOS, which the seeded merge discards — so a value
     // reaching @p n proves each dominating eta fired with a true
     // predicate.
-    std::vector<PortRef> preds;
+    preds.clear();
     int pi = n->predInIndex();
     if (pi >= 0 && pi < n->numInputs() && n->input(pi).valid())
         preds.push_back(n->input(pi));
-    constexpr size_t kMaxPreds = 8;
     int ni = tokenIndex(n);
     if (ni >= 0 && !gateEta_.empty()) {
         const uint64_t* row =
@@ -625,7 +678,6 @@ OrderingChecker::accessPreds(const Node* n) const
             }
         }
     }
-    return preds;
 }
 
 bool
@@ -664,18 +716,20 @@ OrderingChecker::symbolicallyDisjoint(const Node* a, const Node* b)
     return SymbolicAddress::disjoint(ea, a->size, eb, b->size);
 }
 
-std::vector<const Node*>
-OrderingChecker::orderingSources(const Node* n)
+void
+OrderingChecker::orderingSources(const Node* n,
+                                 std::vector<const Node*>& out)
 {
-    std::vector<const Node*> out;
+    out.clear();
     int ti = n->tokenInIndex();
     if (ti < 0 || ti >= n->numInputs())
-        return out;
+        return;
     const PortRef& root = n->input(ti);
     if (!root.valid())
-        return out;
-    std::vector<const Node*> work{root.node};
-    std::vector<const Node*> combines;
+        return;
+    thread_local std::vector<const Node*> work, combines;
+    work.assign(1, root.node);
+    combines.clear();
     while (!work.empty()) {
         const Node* cur = work.back();
         work.pop_back();
@@ -694,7 +748,6 @@ OrderingChecker::orderingSources(const Node* n)
     std::sort(out.begin(), out.end(),
               [](const Node* a, const Node* b) { return a->id < b->id; });
     out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
 }
 
 void
@@ -741,11 +794,13 @@ OrderingChecker::check(std::vector<LintFinding>& out)
     // be connected by a token path in some direction.  Each side
     // effect's sets and access predicates are computed once, not per
     // pair.
-    effects_.clear();
-    effects_.reserve(sideEffects_.size());
-    for (const Node* n : sideEffects_)
-        effects_.push_back(
-            {effectiveReadSet(n), effectiveWriteSet(n), accessPreds(n)});
+    effects_.resize(sideEffects_.size());
+    for (size_t i = 0; i < sideEffects_.size(); i++) {
+        const Node* n = sideEffects_[i];
+        effects_[i].reads = effectiveReadSet(n);
+        effects_[i].writes = effectiveWriteSet(n);
+        accessPreds(n, effects_[i].preds);
+    }
     for (size_t i = 0; i < sideEffects_.size(); i++) {
         for (size_t j = i + 1; j < sideEffects_.size(); j++) {
             const Node* a = sideEffects_[i];

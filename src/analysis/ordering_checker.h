@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -115,9 +116,10 @@ class OrderingChecker
      * The non-Combine producers feeding @p n's token input, found by
      * walking through Combine nodes only (independent reimplementation
      * of the token-source expansion used by the passes), node-id
-     * sorted.  A pure function of @p n's inputs.
+     * sorted, written over @p out.  A pure function of @p n's inputs.
      */
-    static std::vector<const Node*> orderingSources(const Node* n);
+    static void orderingSources(const Node* n,
+                                std::vector<const Node*>& out);
 
     /** The recomputed effective read set of @p n (const-filtered). */
     LocationSet effectiveReadSet(const Node* n) const;
@@ -128,25 +130,64 @@ class OrderingChecker
     const OrderingStats& stats() const { return stats_; }
 
   private:
+    /** accessPreds() lists at most this many predicates. */
+    static constexpr uint32_t kMaxPreds = 8;
+
     /** What check() needs of one side effect, computed once a run. */
     struct Effects
     {
         LocationSet reads;
         LocationSet writes;
         /** accessPreds(): must all be true for the access to happen. */
-        std::vector<PortRef> preds;
+        SmallVector<PortRef, kMaxPreds> preds;
+    };
+
+    /**
+     * Token edges in compressed rows: the successors of token node u
+     * are succ[start[u], start[u + 1]), in consumer (node-id) order,
+     * then input order.
+     */
+    struct EdgeRows
+    {
+        std::vector<uint32_t> start;
+        std::vector<int> succ;
+
+        std::span<const int>
+        of(int u) const
+        {
+            return {succ.data() + start[static_cast<size_t>(u)],
+                    succ.data() + start[static_cast<size_t>(u) + 1]};
+        }
+    };
+
+    /** buildClosure()'s Tarjan walk, reused by both closures. */
+    struct ClosureScratch
+    {
+        std::vector<int> low, num, sccOf, stack;
+        std::vector<uint8_t> onStack;
+        struct Frame
+        {
+            int v;
+            uint32_t next;
+        };
+        std::vector<Frame> frames;
+        /** SCC s is members[sccStart[s], sccStart[s + 1]). */
+        std::vector<int> members;
+        std::vector<uint32_t> sccStart;
+        std::vector<uint64_t> sccRow;
     };
 
     void buildTokenGraph();
-    void buildClosure(bool includeBackEdges,
-                      std::vector<uint64_t>& matrix);
+    void buildClosure(const EdgeRows& edges, std::vector<uint64_t>& matrix,
+                      ClosureScratch& scratch);
     void buildHbReach();
     void buildProductive();
     void buildGates();
     /** Token-graph index of @p n, or -1 outside the token graph. */
     int tokenIndex(const Node* n) const;
     bool productive(const Node* n) const;
-    std::vector<PortRef> accessPreds(const Node* n) const;
+    void accessPreds(const Node* n,
+                     SmallVector<PortRef, kMaxPreds>& preds) const;
     bool mayConflict(size_t i, size_t j);
     bool predsExclude(const Effects& a, const Effects& b);
     bool hbReaches(int from, int to) const;
@@ -164,8 +205,8 @@ class OrderingChecker
 
     std::vector<int> index_;                 ///< node id → token index.
     std::vector<const Node*> tokenNodes_;
-    std::vector<std::vector<int>> succAll_;  ///< All token edges.
-    std::vector<std::vector<int>> succFwd_;  ///< Non-back token edges.
+    EdgeRows succAll_;                       ///< All token edges.
+    EdgeRows succFwd_;                       ///< Non-back token edges.
     int words_ = 0;                          ///< Bitset row width.
     std::vector<uint64_t> reachAll_;         ///< N×words_ closure.
     std::vector<uint64_t> reachFwd_;         ///< Forward-only closure.

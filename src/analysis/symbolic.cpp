@@ -1,5 +1,6 @@
 #include "analysis/symbolic.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/induction.h"
@@ -20,7 +21,7 @@ AffineExpr::baseOf(SymBase b)
 {
     AffineExpr e;
     e.valid = true;
-    e.terms[b] = 1;
+    e.terms.push_back({b, 1});
     return e;
 }
 
@@ -29,12 +30,25 @@ AffineExpr::plus(const AffineExpr& o) const
 {
     if (!valid || !o.valid)
         return invalid();
-    AffineExpr e = *this;
-    e.constant += o.constant;
-    for (const auto& [b, c] : o.terms) {
-        e.terms[b] += c;
-        if (e.terms[b] == 0)
-            e.terms.erase(b);
+    AffineExpr e;
+    e.valid = true;
+    e.constant = constant + o.constant;
+    // Merge the two sorted term lists; a base whose coefficients
+    // cancel drops out.
+    const AffineTerm* a = terms.begin();
+    const AffineTerm* b = o.terms.begin();
+    while (a != terms.end() || b != o.terms.end()) {
+        if (b == o.terms.end() || (a != terms.end() && a->base < b->base)) {
+            e.terms.push_back(*a++);
+        } else if (a == terms.end() || b->base < a->base) {
+            e.terms.push_back(*b++);
+        } else {
+            const int64_t c = a->coeff + b->coeff;
+            if (c != 0)
+                e.terms.push_back({a->base, c});
+            a++;
+            b++;
+        }
     }
     return e;
 }
@@ -54,8 +68,8 @@ AffineExpr::times(int64_t k) const
     e.valid = true;
     e.constant = constant * k;
     if (k != 0)
-        for (const auto& [b, c] : terms)
-            e.terms[b] = c * k;
+        for (const AffineTerm& t : terms)
+            e.terms.push_back({t.base, t.coeff * k});
     return e;
 }
 
@@ -71,22 +85,21 @@ AffineExpr::isConstant(int64_t* c) const
 int64_t
 AffineExpr::iterCoeff(int hb) const
 {
-    for (const auto& [b, c] : terms)
-        if (b.iterHb == hb)
-            return c;
+    for (const AffineTerm& t : terms)
+        if (t.base.iterHb == hb)
+            return t.coeff;
     return 0;
 }
 
 AffineExpr
 AffineExpr::withoutIter(int hb) const
 {
-    AffineExpr e = *this;
-    for (auto it = e.terms.begin(); it != e.terms.end();) {
-        if (it->first.iterHb == hb)
-            it = e.terms.erase(it);
-        else
-            ++it;
-    }
+    AffineExpr e;
+    e.valid = valid;
+    e.constant = constant;
+    for (const AffineTerm& t : terms)
+        if (t.base.iterHb != hb)
+            e.terms.push_back(t);
     return e;
 }
 
@@ -97,12 +110,12 @@ AffineExpr::str() const
         return "<invalid>";
     std::ostringstream os;
     os << constant;
-    for (const auto& [b, c] : terms) {
-        os << " + " << c << "*";
-        if (b.iterHb >= 0)
-            os << "ITER(hb" << b.iterHb << ")";
+    for (const AffineTerm& t : terms) {
+        os << " + " << t.coeff << "*";
+        if (t.base.iterHb >= 0)
+            os << "ITER(hb" << t.base.iterHb << ")";
         else
-            os << "n" << b.node->id << "." << b.port;
+            os << "n" << t.base.node->id << "." << t.base.port;
     }
     return os.str();
 }
@@ -118,13 +131,20 @@ SymbolicAddress::compute(PortRef v, int depth)
 {
     if (!v.valid() || depth > 64)
         return AffineExpr::invalid();
-    auto key = std::make_pair(static_cast<const Node*>(v.node), v.port);
-    auto memo = memo_.find(key);
-    if (memo != memo_.end())
-        return memo->second;
+    CASH_ASSERT(v.port == 0 || v.port == 1, "bad value port");
+    const size_t key = 2 * static_cast<size_t>(v.node->id) +
+                       static_cast<size_t>(v.port);
+    if (key >= slot_.size())
+        slot_.resize(std::max(key + 1, 2 * slot_.size()), 0);
+    // A slot naming another node's entry (a node of another graph
+    // with the same id) is a miss.
+    if (slot_[key] && memo_[slot_[key] - 1].key == v)
+        return memo_[slot_[key] - 1].value;
     // Pre-insert an opaque self to break recursion (e.g. through a
     // non-induction loop merge).
-    memo_[key] = AffineExpr::baseOf(SymBase{v.node, v.port, -1});
+    const size_t at = memo_.size();
+    memo_.push_back({v, AffineExpr::baseOf(SymBase{v.node, v.port, -1})});
+    slot_[key] = static_cast<uint32_t>(at + 1);
 
     AffineExpr result = AffineExpr::baseOf(SymBase{v.node, v.port, -1});
     const Node* n = v.node;
@@ -193,7 +213,7 @@ SymbolicAddress::compute(PortRef v, int depth)
 
     if (!result.valid)
         result = AffineExpr::baseOf(SymBase{v.node, v.port, -1});
-    memo_[key] = result;
+    memo_[at].value = result;
     return result;
 }
 

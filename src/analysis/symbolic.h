@@ -14,10 +14,11 @@
 #define CASH_ANALYSIS_SYMBOLIC_H
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "pegasus/graph.h"
+#include "support/small_vector.h"
 
 namespace cash {
 
@@ -46,12 +47,21 @@ struct SymBase
     }
 };
 
+/** One term of an affine expression: coeff·base. */
+struct AffineTerm
+{
+    SymBase base;
+    int64_t coeff = 0;
+};
+
 /** An affine expression over SymBases. */
 struct AffineExpr
 {
     bool valid = false;
     int64_t constant = 0;
-    std::map<SymBase, int64_t> terms;
+    /** The terms, one per base, sorted by base; the first two live
+     *  inline, so building an address expression allocates nothing. */
+    SmallVector<AffineTerm, 2> terms;
 
     static AffineExpr invalid() { return AffineExpr{}; }
     static AffineExpr constantOf(int64_t c);
@@ -99,7 +109,16 @@ class SymbolicAddress
     AffineExpr compute(PortRef v, int depth);
 
     const InductionAnalysis* ivs_;
-    std::map<std::pair<const Node*, int>, AffineExpr> memo_;
+    /** The expressions computed so far, by value port. */
+    struct Memo
+    {
+        PortRef key;
+        AffineExpr value;
+    };
+    std::vector<Memo> memo_;
+    /** 1 + the memo_ index of value port (node id, port), at
+     *  2 * id + port; 0 when not computed. */
+    std::vector<uint32_t> slot_;
 };
 
 } // namespace cash

@@ -55,7 +55,7 @@ Interpreter::step()
 uint32_t
 Interpreter::loadWord(uint32_t addr) const
 {
-    CASH_ASSERT(addr + 4 <= mem_.size(), "loadWord out of range");
+    CASH_ASSERT(MemoryLayout::inBounds(addr, 4), "loadWord out of range");
     return static_cast<uint32_t>(mem_[addr]) |
            (static_cast<uint32_t>(mem_[addr + 1]) << 8) |
            (static_cast<uint32_t>(mem_[addr + 2]) << 16) |
@@ -81,7 +81,7 @@ Interpreter::globalAddress(const std::string& name) const
 uint32_t
 Interpreter::loadMem(uint32_t addr, int size, bool isSigned)
 {
-    if (addr == 0 || addr + size > mem_.size())
+    if (addr == 0 || !MemoryLayout::inBounds(addr, size))
         fatal("load from invalid address " + std::to_string(addr));
     loads_++;
     uint32_t v = 0;
@@ -96,7 +96,7 @@ Interpreter::loadMem(uint32_t addr, int size, bool isSigned)
 void
 Interpreter::storeMem(uint32_t addr, uint32_t value, int size)
 {
-    if (addr == 0 || addr + size > mem_.size())
+    if (addr == 0 || !MemoryLayout::inBounds(addr, size))
         fatal("store to invalid address " + std::to_string(addr));
     stores_++;
     for (int i = 0; i < size; i++)

@@ -40,7 +40,6 @@ HyperblockPartition::HyperblockPartition(const CfgFunction& fn,
                     loops.innermostLoopOf(hbs_[candidate].header)) {
                 blockToHb_[b] = candidate;
                 hbs_[candidate].blocks.push_back(b);
-                hbs_[candidate].blockSet.insert(b);
                 continue;
             }
             startNew = true;
@@ -50,7 +49,6 @@ HyperblockPartition::HyperblockPartition(const CfgFunction& fn,
         hb.id = static_cast<int>(hbs_.size());
         hb.header = b;
         hb.blocks.push_back(b);
-        hb.blockSet.insert(b);
         hb.loopIndex = loops.innermostLoopOf(b);
         hb.loopDepth =
             hb.loopIndex >= 0 ? loops.loops()[hb.loopIndex].depth : 0;
@@ -88,16 +86,34 @@ HyperblockPartition::HyperblockPartition(const CfgFunction& fn,
         }
     }
 
-    // Pass 3: in-hyperblock reachability (reverse topological).
+    // Pass 3: in-hyperblock reachability (reverse topological), one
+    // bitset row per block over its hyperblock's blocks.
+    localIndex_.assign(fn.blocks.size(), -1);
+    rowStart_.assign(fn.blocks.size(), 0);
+    size_t totalWords = 0;
     for (const Hyperblock& hb : hbs_) {
+        const size_t words = (hb.blocks.size() + 63) / 64;
+        for (size_t i = 0; i < hb.blocks.size(); i++) {
+            localIndex_[static_cast<size_t>(hb.blocks[i])] =
+                static_cast<int>(i);
+            rowStart_[static_cast<size_t>(hb.blocks[i])] =
+                static_cast<uint32_t>(totalWords);
+            totalWords += words;
+        }
+    }
+    reachBits_.assign(totalWords, 0);
+    for (const Hyperblock& hb : hbs_) {
+        const size_t words = (hb.blocks.size() + 63) / 64;
         for (auto it = hb.blocks.rbegin(); it != hb.blocks.rend(); ++it) {
-            int b = *it;
-            std::set<int>& r = reach_[b];
-            r.insert(b);
+            const int b = *it;
+            uint64_t* r = reachBits_.data() + rowStart_[b];
+            const int self = localIndex_[b];
+            r[self / 64] |= uint64_t{1} << (self % 64);
             for (int s : fn.block(b)->succs) {
                 if (blockToHb_[s] == hb.id && s != hb.header) {
-                    const std::set<int>& rs = reach_[s];
-                    r.insert(rs.begin(), rs.end());
+                    const uint64_t* rs = reachBits_.data() + rowStart_[s];
+                    for (size_t w = 0; w < words; w++)
+                        r[w] |= rs[w];
                 }
             }
         }
@@ -107,8 +123,13 @@ HyperblockPartition::HyperblockPartition(const CfgFunction& fn,
 bool
 HyperblockPartition::reaches(int fromBlock, int toBlock) const
 {
-    auto it = reach_.find(fromBlock);
-    return it != reach_.end() && it->second.count(toBlock) != 0;
+    const int hb = blockToHb_.at(fromBlock);
+    if (hb < 0 || blockToHb_.at(toBlock) != hb)
+        return false;
+    const int to = localIndex_[static_cast<size_t>(toBlock)];
+    return (reachBits_[rowStart_[static_cast<size_t>(fromBlock)] +
+                       static_cast<size_t>(to / 64)] >>
+            (to % 64)) & 1;
 }
 
 std::string

@@ -11,8 +11,8 @@
 #ifndef CASH_CFG_HYPERBLOCK_H
 #define CASH_CFG_HYPERBLOCK_H
 
-#include <map>
-#include <set>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cfg/cfg.h"
@@ -42,7 +42,6 @@ struct Hyperblock
     int id = -1;
     int header = -1;
     std::vector<int> blocks;  ///< Topological order; blocks[0]==header.
-    std::set<int> blockSet;
     int loopIndex = -1;       ///< Innermost loop of the header, or -1.
     int loopDepth = 0;
     bool isLoop = false;      ///< Has a back edge onto its own header.
@@ -73,8 +72,13 @@ class HyperblockPartition
   private:
     std::vector<Hyperblock> hbs_;
     std::vector<int> blockToHb_;
-    /** Per block: set of in-HB blocks reachable from it (incl. self). */
-    std::map<int, std::set<int>> reach_;
+    /** Per block: its index in its hyperblock's blocks. */
+    std::vector<int> localIndex_;
+    /** Per block: the first word of its reach row, a bitset over its
+     *  hyperblock's blocks (by local index) of the in-hyperblock
+     *  blocks reachable from it, itself included. */
+    std::vector<uint32_t> rowStart_;
+    std::vector<uint64_t> reachBits_;
 };
 
 } // namespace cash

@@ -5,10 +5,10 @@
 
 namespace cash {
 
-std::vector<int>
+Liveness::RegList
 Liveness::uses(const Instr& i)
 {
-    std::vector<int> out;
+    RegList out;
     auto add = [&](const Operand& o) {
         if (o.isReg())
             out.push_back(o.reg);
@@ -43,10 +43,10 @@ Liveness::def(const Instr& i)
     return i.dst;
 }
 
-std::vector<int>
+Liveness::RegList
 Liveness::uses(const Terminator& t)
 {
-    std::vector<int> out;
+    RegList out;
     if (t.kind == Terminator::Kind::CondBranch && t.cond.isReg())
         out.push_back(t.cond.reg);
     if (t.kind == Terminator::Kind::Return && t.retValue.isReg())
@@ -123,18 +123,26 @@ Liveness::Liveness(const CfgFunction& fn)
         }
     }
 
-    auto ascending = [&](const std::vector<uint64_t>& rows,
-                         std::vector<std::vector<int>>& lists) {
-        lists.assign(n, {});
-        for (size_t k = 0; k < n; k++)
-            for (size_t w = 0; w < words; w++)
-                for (uint64_t bits = rows[k * words + w]; bits;
-                     bits &= bits - 1)
-                    lists[k].push_back(
-                        static_cast<int>(w * 64) + __builtin_ctzll(bits));
+    // Block k's live-in list, then its live-out list, ascending.
+    start_.assign(2 * n + 1, 0);
+    size_t total = 0;
+    for (size_t x = 0; x < n * words; x++)
+        total += static_cast<size_t>(__builtin_popcountll(in[x]) +
+                                     __builtin_popcountll(out[x]));
+    regs_.reserve(total);
+    auto ascending = [&](const std::vector<uint64_t>& rows, size_t k) {
+        for (size_t w = 0; w < words; w++)
+            for (uint64_t bits = rows[k * words + w]; bits;
+                 bits &= bits - 1)
+                regs_.push_back(static_cast<int>(w * 64) +
+                                __builtin_ctzll(bits));
     };
-    ascending(in, liveIn_);
-    ascending(out, liveOut_);
+    for (size_t k = 0; k < n; k++) {
+        ascending(in, k);
+        start_[2 * k + 1] = static_cast<uint32_t>(regs_.size());
+        ascending(out, k);
+        start_[2 * k + 2] = static_cast<uint32_t>(regs_.size());
+    }
 }
 
 } // namespace cash

@@ -8,9 +8,13 @@
 #ifndef CASH_CFG_LIVENESS_H
 #define CASH_CFG_LIVENESS_H
 
+#include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "cfg/cfg.h"
+#include "support/small_vector.h"
 
 namespace cash {
 
@@ -18,7 +22,7 @@ namespace cash {
  * Backward may-liveness of virtual registers per block.  The fixpoint
  * runs on one bitset per block over the function's registers; the
  * results are handed out as ascending register lists, the order the
- * builder creates merges and etas in.
+ * builder creates merges and etas in, all stored in one flat array.
  */
 class Liveness
 {
@@ -26,26 +30,39 @@ class Liveness
     explicit Liveness(const CfgFunction& fn);
 
     /** Registers live into @p block, ascending. */
-    const std::vector<int>& liveIn(int block) const
-    {
-        return liveIn_.at(block);
-    }
+    std::span<const int> liveIn(int block) const { return list(2 * block); }
     /** Registers live out of @p block, ascending. */
-    const std::vector<int>& liveOut(int block) const
+    std::span<const int>
+    liveOut(int block) const
     {
-        return liveOut_.at(block);
+        return list(2 * block + 1);
     }
 
+    /** Operand registers of an instruction or terminator (inline for
+     *  up to four, so listing them allocates nothing). */
+    using RegList = SmallVector<int, 4>;
+
     /** Registers used by instruction @p i (operand registers). */
-    static std::vector<int> uses(const Instr& i);
+    static RegList uses(const Instr& i);
     /** Register defined by @p i, or -1. */
     static int def(const Instr& i);
     /** Registers used by terminator @p t. */
-    static std::vector<int> uses(const Terminator& t);
+    static RegList uses(const Terminator& t);
 
   private:
-    std::vector<std::vector<int>> liveIn_;
-    std::vector<std::vector<int>> liveOut_;
+    /** List k (live-in of block k/2 for even k, live-out for odd k)
+     *  is regs_[start_[k], start_[k + 1]). */
+    std::vector<int> regs_;
+    std::vector<uint32_t> start_;
+
+    std::span<const int>
+    list(int k) const
+    {
+        if (k < 0 || static_cast<size_t>(k) + 1 >= start_.size())
+            throw std::out_of_range("Liveness: bad block");
+        return {regs_.data() + start_[static_cast<size_t>(k)],
+                regs_.data() + start_[static_cast<size_t>(k) + 1]};
+    }
 };
 
 } // namespace cash

@@ -43,6 +43,18 @@ class MemoryLayout
     static constexpr uint32_t kGlobalBase = 0x1000;
     static constexpr uint32_t kStackTop = 0x100000;   ///< 1 MiB
     static constexpr uint32_t kMemorySize = 0x200000; ///< 2 MiB
+
+    /**
+     * Does the @p size-byte access at @p addr fall inside the simulated
+     * memory?  Checked without 32-bit arithmetic, where an address
+     * just below 2^32 would wrap past the end and read as in range.
+     */
+    static bool
+    inBounds(uint32_t addr, int size)
+    {
+        return addr < kMemorySize && size >= 0 &&
+               static_cast<uint32_t>(size) <= kMemorySize - addr;
+    }
     /** Default element count given to extern arrays of unknown extent. */
     static constexpr int64_t kExternArrayElems = 4096;
 

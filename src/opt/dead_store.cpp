@@ -46,7 +46,8 @@ class DeadStorePass : public Pass
     {
         if (isFalsePred(s1->input(0)))
             return false;  // already dead; §4.1 cleans it up
-        for (Node* s2 : optutil::directTokenConsumers(s1)) {
+        optutil::directTokenConsumers(s1, consumers_);
+        for (Node* s2 : consumers_) {
             if (s2->kind != NodeKind::Store)
                 continue;
             if (!(s2->input(2) == s1->input(2)) || s2->size != s1->size)
@@ -94,6 +95,9 @@ class DeadStorePass : public Pass
         }
         return false;
     }
+
+    /** weaken()'s token consumers of s1. */
+    std::vector<Node*> consumers_;
 };
 
 } // namespace

@@ -106,10 +106,9 @@ class InterprocTokenPruningPass : public Pass
         int ti = n->tokenInIndex();
         if (ti < 0 || ti >= n->numInputs() || !n->input(ti).valid())
             return false;
-        std::vector<PortRef> srcs =
-            optutil::expandTokenSources(n->input(ti));
+        optutil::expandTokenSources(n->input(ti), tokens_.sources);
 
-        for (const PortRef& s : srcs) {
+        for (const PortRef& s : tokens_.sources) {
             Node* j = s.node;
             // Intraprocedural pairs belong to token_removal; this
             // pass only touches edges with a call endpoint.
@@ -121,35 +120,16 @@ class InterprocTokenPruningPass : public Pass
                 continue;
 
             // Remove edge j → n, preserving the transitive closure:
-            // n inherits j's sources ...
-            std::vector<PortRef> newSrcs;
-            for (const PortRef& o : srcs)
-                if (!(o == s))
-                    newSrcs.push_back(o);
-            for (const PortRef& inh : optutil::expandTokenSources(
-                     j->input(j->tokenInIndex()))) {
-                bool dup = false;
-                for (const PortRef& o : newSrcs)
-                    if (o == inh)
-                        dup = true;
-                if (!dup)
-                    newSrcs.push_back(inh);
-            }
-            CASH_ASSERT(!newSrcs.empty(),
-                        "interproc pruning left op with no ordering"
-                        " source");
-
-            // ... and n's token consumers stay ordered after j.
-            int jPort = j->tokenOutPort();
-            for (Node* c : optutil::directTokenConsumers(n))
-                optutil::addTokenSource(g, c, {j, jPort});
-
-            optutil::setTokenInput(g, n, ti, newSrcs);
+            // n inherits j's sources and n's token consumers stay
+            // ordered after j.
+            optutil::removeTokenEdge(g, n, ti, s, tokens_);
             ctx.count("opt.interproc_token_pruning.pruned_edges");
             return true;
         }
         return false;
     }
+
+    optutil::TokenScratch tokens_;
 };
 
 } // namespace

@@ -27,27 +27,32 @@ class LoopDecouplingPass : public Pass
     run(Graph& g, OptContext& ctx) override
     {
         bool changed = false;
-        HyperblockNodes nodes(g);
+        nodes_.reset(g);
         for (const HbInfo& hb : g.hyperblocks) {
             if (!hb.isLoop)
                 continue;
             for (int p = 0; p < g.numPartitions; p++) {
-                auto ring = findTokenRing(g, nodes, hb.id, p);
-                if (!ring || ring->alreadySplit || ring->ops.empty())
+                if (!findTokenRing(g, nodes_, hb.id, p, ring_) ||
+                    ring_.alreadySplit || ring_.ops.empty())
                     continue;
-                auto gates = ringsplit::analyzeRingDependences(g, *ring);
+                auto gates = ringsplit::analyzeRingDependences(g, ring_);
                 // This pass exists for the distance-gated case; the
                 // empty-gate cases belong to §6.1/§6.2.
                 if (!gates || gates->empty())
                     continue;
-                ringsplit::splitRing(g, *ring, *gates, ctx);
-                nodes.invalidate();
+                ringsplit::splitRing(g, ring_, *gates, ctx);
+                nodes_.invalidate();
                 ctx.count("opt.loop_decoupling.loops");
                 changed = true;
             }
         }
         return changed;
     }
+
+  private:
+    /** Ring discovery scratch and the ring found, kept across runs. */
+    HyperblockNodes nodes_;
+    TokenRing ring_;
 };
 
 } // namespace

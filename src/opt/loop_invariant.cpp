@@ -34,16 +34,17 @@ class LoopInvariantPass : public Pass
     run(Graph& g, OptContext& ctx) override
     {
         bool changed = false;
-        std::vector<Node*> loads;
+        std::vector<Node*>& loads = loads_;
+        loads.clear();
         g.forEach([&](Node* n) {
             if (n->kind == NodeKind::Load && !n->hoisted)
                 loads.push_back(n);
         });
-        HyperblockNodes nodes(g);
+        nodes_.reset(g);
         for (Node* load : loads) {
             // A hoist creates nodes in the loop: rescan after one.
-            if (!load->dead && hoist(g, nodes, load, ctx)) {
-                nodes.invalidate();
+            if (!load->dead && hoist(g, load, ctx)) {
+                nodes_.invalidate();
                 changed = true;
             }
         }
@@ -118,7 +119,7 @@ class LoopInvariantPass : public Pass
     }
 
     bool
-    hoist(Graph& g, HyperblockNodes& nodes, Node* load, OptContext& ctx)
+    hoist(Graph& g, Node* load, OptContext& ctx)
     {
         int hb = load->hyperblock;
         if (hb < 0 || hb >= static_cast<int>(g.hyperblocks.size()) ||
@@ -138,18 +139,17 @@ class LoopInvariantPass : public Pass
 
         // The token must come straight from the partition ring merge,
         // and the ring must be the canonical rewriteable shape.
-        auto ringOpt = findTokenRing(g, nodes, hb, load->partition);
-        if (!ringOpt)
+        TokenRing& ring = ring_;
+        if (!findTokenRing(g, nodes_, hb, load->partition, ring))
             return false;
-        TokenRing& ring = *ringOpt;
         if (!everyIteration && !(load->input(0) == ring.backPred))
             return false;
         // Partition read-only inside the loop.
         for (Node* op : ring.ops)
             if (op->kind != NodeKind::Load)
                 return false;
-        std::vector<PortRef> srcs =
-            optutil::expandTokenSources(load->input(1));
+        std::vector<PortRef>& srcs = sources_;
+        optutil::expandTokenSources(load->input(1), srcs);
         if (srcs.size() != 1 || srcs[0].node != ring.merge)
             return false;
         if (ring.initialInputs.size() != 1)
@@ -224,6 +224,13 @@ class LoopInvariantPass : public Pass
         ctx.count("opt.loop_invariant.hoisted");
         return true;
     }
+
+    /** Scratch kept across runs: the loads to visit, ring discovery,
+     *  the ring found and a load's token sources. */
+    std::vector<Node*> loads_;
+    HyperblockNodes nodes_;
+    TokenRing ring_;
+    std::vector<PortRef> sources_;
 };
 
 } // namespace

@@ -84,11 +84,9 @@ class MemoryMergePass : public Pass
     {
         if (!compatible(a, b))
             return false;
-        std::vector<PortRef> sa =
-            optutil::expandTokenSources(a->input(a->tokenInIndex()));
-        std::vector<PortRef> sb =
-            optutil::expandTokenSources(b->input(b->tokenInIndex()));
-        if (!sameSources(sa, sb))
+        optutil::expandTokenSources(a->input(a->tokenInIndex()), sa_);
+        optutil::expandTokenSources(b->input(b->tokenInIndex()), sb_);
+        if (!sameSources(sa_, sb_))
             return false;
 
         PortRef pa = a->input(0), pb = b->input(0);
@@ -131,6 +129,9 @@ class MemoryMergePass : public Pass
         g.erase(b);
         return true;
     }
+
+    /** tryMerge()'s expanded token sources of a and b. */
+    std::vector<PortRef> sa_, sb_;
 };
 
 } // namespace

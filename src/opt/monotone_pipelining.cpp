@@ -25,33 +25,38 @@ class MonotonePipeliningPass : public Pass
     run(Graph& g, OptContext& ctx) override
     {
         bool changed = false;
-        HyperblockNodes nodes(g);
+        nodes_.reset(g);
         for (const HbInfo& hb : g.hyperblocks) {
             if (!hb.isLoop)
                 continue;
             for (int p = 0; p < g.numPartitions; p++) {
-                auto ring = findTokenRing(g, nodes, hb.id, p);
-                if (!ring || ring->alreadySplit || ring->ops.empty())
+                if (!findTokenRing(g, nodes_, hb.id, p, ring_) ||
+                    ring_.alreadySplit || ring_.ops.empty())
                     continue;
                 bool anyWrite = false;
-                for (Node* op : ring->ops)
+                for (Node* op : ring_.ops)
                     if (op->kind == NodeKind::Store)
                         anyWrite = true;
                 if (!anyWrite)
                     continue;  // §6.1 owns the read-only case
-                auto gates = ringsplit::analyzeRingDependences(g, *ring);
+                auto gates = ringsplit::analyzeRingDependences(g, ring_);
                 // Monotone splitting requires *no* cross-iteration
                 // dependence; distances are §6.3's domain.
                 if (!gates || !gates->empty())
                     continue;
-                ringsplit::splitRing(g, *ring, {}, ctx);
-                nodes.invalidate();
+                ringsplit::splitRing(g, ring_, {}, ctx);
+                nodes_.invalidate();
                 ctx.count("opt.monotone.loops");
                 changed = true;
             }
         }
         return changed;
     }
+
+  private:
+    /** Ring discovery scratch and the ring found, kept across runs. */
+    HyperblockNodes nodes_;
+    TokenRing ring_;
 };
 
 } // namespace

@@ -77,11 +77,12 @@ traversable(const Node* n)
 
 } // namespace
 
-std::vector<PortRef>
-expandTokenSources(PortRef in)
+void
+expandTokenSources(PortRef in, std::vector<PortRef>& out)
 {
-    std::vector<PortRef> out;
-    std::vector<PortRef> work{in};
+    thread_local std::vector<PortRef> work;
+    out.clear();
+    work.assign(1, in);
     marks.begin();
     while (!work.empty()) {
         PortRef cur = work.back();
@@ -97,7 +98,6 @@ expandTokenSources(PortRef in)
             out.push_back(cur);
         }
     }
-    return out;
 }
 
 bool
@@ -118,11 +118,12 @@ orderedAfter(const Node* from, const Node* to)
     return false;
 }
 
-std::vector<Node*>
-directTokenConsumers(const Node* from)
+void
+directTokenConsumers(const Node* from, std::vector<Node*>& out)
 {
-    std::vector<Node*> out;
-    std::vector<const Node*> work;
+    thread_local std::vector<const Node*> work;
+    out.clear();
+    work.clear();
     tokenUsers(from, work);
     marks.begin();
     while (!work.empty()) {
@@ -136,7 +137,31 @@ directTokenConsumers(const Node* from)
             out.push_back(const_cast<Node*>(cur));
         }
     }
-    return out;
+}
+
+void
+removeTokenEdge(Graph& g, Node* n, int ti, PortRef src,
+                TokenScratch& scratch)
+{
+    Node* j = src.node;
+    std::vector<PortRef>& kept = scratch.kept;
+    kept.clear();
+    for (const PortRef& o : scratch.sources)
+        if (!(o == src))
+            kept.push_back(o);
+    expandTokenSources(j->input(j->tokenInIndex()), scratch.other);
+    for (const PortRef& inh : scratch.other)
+        if (std::find(kept.begin(), kept.end(), inh) == kept.end())
+            kept.push_back(inh);
+    CASH_ASSERT(!kept.empty(),
+                "token edge removal left op with no ordering source");
+
+    const PortRef jOut{j, j->tokenOutPort()};
+    directTokenConsumers(n, scratch.consumers);
+    for (Node* c : scratch.consumers)
+        addTokenSource(g, c, jOut, scratch.other);
+
+    setTokenInput(g, n, ti, kept);
 }
 
 void

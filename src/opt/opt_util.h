@@ -28,9 +28,27 @@ isTokenProducer(const Node* n)
 /**
  * Expand a token input through Combine chains into its ultimate
  * sources (side-effect nodes, ring merges, token etas, generators),
- * deduplicated, in walk order.
+ * deduplicated, in walk order, written over @p out.  Callers keep
+ * @p out across queries, so a walk allocates nothing once the lists
+ * have grown.
  */
-std::vector<PortRef> expandTokenSources(PortRef in);
+void expandTokenSources(PortRef in, std::vector<PortRef>& out);
+
+/**
+ * Buffers of the token-plumbing helpers below.  A pass keeps one
+ * across its runs, so the walks allocate nothing once the lists have
+ * grown.
+ */
+struct TokenScratch
+{
+    /** The expanded sources of the token input being edited. */
+    std::vector<PortRef> sources;
+    /** The input's new source list. */
+    std::vector<PortRef> kept;
+    /** Another node's expanded sources. */
+    std::vector<PortRef> other;
+    std::vector<Node*> consumers;
+};
 
 /**
  * Wire @p consumerInput of @p consumer to the given token sources,
@@ -64,9 +82,9 @@ bool orderedAfter(const Node* from, const Node* to);
 
 /**
  * All side-effect/eta/tokengen consumers ordered directly after
- * @p from's token output (through combines).
+ * @p from's token output (through combines), written over @p out.
  */
-std::vector<Node*> directTokenConsumers(const Node* from);
+void directTokenConsumers(const Node* from, std::vector<Node*>& out);
 
 /**
  * The input slot of @p n that carries ordering tokens (eta/merge token
@@ -90,20 +108,33 @@ tokenConsumerInput(const Node* n)
     }
 }
 
-/** Append @p src to the token sources of @p consumer (deduplicated). */
+/**
+ * Append @p src to the token sources of @p consumer (deduplicated);
+ * @p scratch holds the expanded sources.
+ */
 inline void
-addTokenSource(Graph& g, Node* consumer, PortRef src)
+addTokenSource(Graph& g, Node* consumer, PortRef src,
+               std::vector<PortRef>& scratch)
 {
     int idx = tokenConsumerInput(consumer);
     if (idx < 0)
         return;
-    std::vector<PortRef> srcs = expandTokenSources(consumer->input(idx));
-    for (const PortRef& s : srcs)
+    expandTokenSources(consumer->input(idx), scratch);
+    for (const PortRef& s : scratch)
         if (s == src)
             return;
-    srcs.push_back(src);
-    setTokenInput(g, consumer, idx, srcs);
+    scratch.push_back(src);
+    setTokenInput(g, consumer, idx, scratch);
 }
+
+/**
+ * Remove the token edge from @p src to @p n, whose token input @p ti
+ * expands to scratch.sources (@p src among them), preserving the
+ * transitive closure (Figure 5): @p n inherits @p src's own sources,
+ * and @p n's token consumers gain a direct edge from @p src.
+ */
+void removeTokenEdge(Graph& g, Node* n, int ti, PortRef src,
+                     TokenScratch& scratch);
 
 /**
  * The nodes a sweep-to-fixed-point pass still has to visit: a bitset

@@ -303,21 +303,26 @@ void
 flushCounters(const std::vector<std::unique_ptr<Pass>>& passes,
               const GraphState& st, const OptContext& ctx)
 {
+    // Each key is spelled into one buffer, kept across slots.
+    std::string key;
+    auto count = [&](const char* head, const char* name, const char* tail,
+                     int64_t v) {
+        key.assign(head).append(name).append(tail);
+        ctx.count(key, v);
+    };
     for (size_t pi = 0; pi < st.tally.size(); pi++) {
         const PassTally& t = st.tally[pi];
         if (t.runs == 0)
             continue;
-        const std::string prefix =
-            std::string("opt.pass.") + passes[pi]->name();
-        ctx.count(prefix + ".runs", t.runs);
-        ctx.count(prefix + ".time_us", t.timeUs);
-        ctx.count(prefix + ".nodes_removed", t.nodesRemoved);
-        ctx.count(prefix + ".edges_removed", t.edgesRemoved);
-        ctx.count(prefix + ".token_edges_removed", t.tokenEdgesRemoved);
+        const char* name = passes[pi]->name();
+        count("opt.pass.", name, ".runs", t.runs);
+        count("opt.pass.", name, ".time_us", t.timeUs);
+        count("opt.pass.", name, ".nodes_removed", t.nodesRemoved);
+        count("opt.pass.", name, ".edges_removed", t.edgesRemoved);
+        count("opt.pass.", name, ".token_edges_removed",
+              t.tokenEdgesRemoved);
         if (t.changed)
-            ctx.count(std::string("opt.") + passes[pi]->name() +
-                          ".changed",
-                      t.changed);
+            count("opt.", name, ".changed", t.changed);
     }
     ctx.count("opt.verify.runs", st.verifyRuns);
     ctx.count("opt.journal.nodes_saved", st.nodesSaved);

@@ -106,7 +106,7 @@ struct OptContext
     const FaultPlan* faults = nullptr;
 
     void
-    count(const std::string& name, int64_t delta = 1) const
+    count(std::string_view name, int64_t delta = 1) const
     {
         if (stats)
             stats->add(name, delta);

@@ -25,28 +25,33 @@ class ReadonlySplitPass : public Pass
     run(Graph& g, OptContext& ctx) override
     {
         bool changed = false;
-        HyperblockNodes nodes(g);
+        nodes_.reset(g);
         for (const HbInfo& hb : g.hyperblocks) {
             if (!hb.isLoop)
                 continue;
             for (int p = 0; p < g.numPartitions; p++) {
-                auto ring = findTokenRing(g, nodes, hb.id, p);
-                if (!ring || ring->alreadySplit || ring->ops.empty())
+                if (!findTokenRing(g, nodes_, hb.id, p, ring_) ||
+                    ring_.alreadySplit || ring_.ops.empty())
                     continue;
                 bool allReads = true;
-                for (Node* op : ring->ops)
+                for (Node* op : ring_.ops)
                     if (op->kind != NodeKind::Load)
                         allReads = false;
                 if (!allReads)
                     continue;
-                ringsplit::splitRing(g, *ring, {}, ctx);
-                nodes.invalidate();
+                ringsplit::splitRing(g, ring_, {}, ctx);
+                nodes_.invalidate();
                 ctx.count("opt.readonly_split.loops");
                 changed = true;
             }
         }
         return changed;
     }
+
+  private:
+    /** Ring discovery scratch and the ring found, kept across runs. */
+    HyperblockNodes nodes_;
+    TokenRing ring_;
 };
 
 } // namespace

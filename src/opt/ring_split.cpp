@@ -128,6 +128,7 @@ splitRing(Graph& g, TokenRing& ring, const std::vector<Gate>& gates,
     g.erase(ring.backEta);
 
     // 5. Slip-bounding token generators (§6.3).
+    std::vector<PortRef> sources;
     for (const Gate& gate : gates) {
         Node* tk = g.newNode(NodeKind::TokenGen, VT::Token, hb);
         tk->tkCount = static_cast<int>(gate.distance);
@@ -136,7 +137,7 @@ splitRing(Graph& g, TokenRing& ring, const std::vector<Gate>& gates,
         // the static cycle follower → leader → tk → follower.
         g.addInput(tk, {gate.leader, gate.leader->tokenOutPort()},
                    /*backEdge=*/true);
-        optutil::addTokenSource(g, gate.follower, {tk, 0});
+        optutil::addTokenSource(g, gate.follower, {tk, 0}, sources);
         ctx.count("opt.ring_split.tokengens");
     }
     ctx.count("opt.ring_split.rings");

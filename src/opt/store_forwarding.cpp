@@ -45,8 +45,8 @@ class StoreForwardingPass : public Pass
     bool
     forward(Graph& g, Reachability& reach, Node* load, OptContext& ctx)
     {
-        std::vector<PortRef> sources =
-            optutil::expandTokenSources(load->input(1));
+        std::vector<PortRef>& sources = sources_;
+        optutil::expandTokenSources(load->input(1), sources);
         std::vector<Node*> stores;
         for (const PortRef& s : sources) {
             if (s.node->kind == NodeKind::Store &&
@@ -141,6 +141,9 @@ class StoreForwardingPass : public Pass
                             : "opt.store_forwarding.bypassed");
         return true;
     }
+
+    /** forward()'s expanded token sources of the load. */
+    std::vector<PortRef> sources_;
 };
 
 } // namespace

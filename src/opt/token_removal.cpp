@@ -62,10 +62,9 @@ class TokenRemovalPass : public Pass
                       OptContext& ctx)
     {
         int ti = n->tokenInIndex();
-        std::vector<PortRef> srcs =
-            optutil::expandTokenSources(n->input(ti));
+        optutil::expandTokenSources(n->input(ti), tokens_.sources);
 
-        for (const PortRef& s : srcs) {
+        for (const PortRef& s : tokens_.sources) {
             Node* j = s.node;
             if (!j->isMemoryAccess())
                 continue;  // ring merges / calls stay
@@ -73,34 +72,14 @@ class TokenRemovalPass : public Pass
                 continue;
 
             // Remove edge j → n, preserving the transitive closure.
-            std::vector<PortRef> newSrcs;
-            for (const PortRef& o : srcs)
-                if (!(o == s))
-                    newSrcs.push_back(o);
-            for (const PortRef& inh :
-                 optutil::expandTokenSources(j->input(j->tokenInIndex())))
-            {
-                bool dup = false;
-                for (const PortRef& o : newSrcs)
-                    if (o == inh)
-                        dup = true;
-                if (!dup)
-                    newSrcs.push_back(inh);
-            }
-            CASH_ASSERT(!newSrcs.empty(),
-                        "token removal left op with no ordering source");
-
-            // n's token consumers must still be ordered after j.
-            int jPort = j->tokenOutPort();
-            for (Node* c : optutil::directTokenConsumers(n))
-                optutil::addTokenSource(g, c, {j, jPort});
-
-            optutil::setTokenInput(g, n, ti, newSrcs);
+            optutil::removeTokenEdge(g, n, ti, s, tokens_);
             ctx.count("opt.token_removal.removed");
             return true;
         }
         return false;
     }
+
+    optutil::TokenScratch tokens_;
 };
 
 } // namespace

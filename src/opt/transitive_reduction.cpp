@@ -61,7 +61,8 @@ class TransitiveReductionPass : public Pass
         PortRef in = n->input(ti);
         if (!in.valid())
             return false;
-        std::vector<PortRef> sources = optutil::expandTokenSources(in);
+        std::vector<PortRef>& sources = sources_;
+        optutil::expandTokenSources(in, sources);
         if (sources.size() < 2) {
             // Still collapse combine chains of one effective source.
             if (in.node->kind == NodeKind::Combine &&
@@ -72,7 +73,8 @@ class TransitiveReductionPass : public Pass
             return false;
         }
 
-        std::vector<PortRef> kept;
+        std::vector<PortRef>& kept = kept_;
+        kept.clear();
         int dropped = 0;
         for (size_t i = 0; i < sources.size(); i++) {
             bool redundant = false;
@@ -101,6 +103,9 @@ class TransitiveReductionPass : public Pass
         ctx.count("opt.transitive_reduction.dropped", dropped);
         return true;
     }
+
+    /** reduceInput()'s lists, kept across calls. */
+    std::vector<PortRef> sources_, kept_;
 };
 
 } // namespace

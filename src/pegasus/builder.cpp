@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "cfg/dominators.h"
 #include "cfg/hyperblock.h"
@@ -149,7 +150,8 @@ class GraphBuilder
         g_->numPartitions = parts_.numPartitions;
 
         const size_t numHbs = hbp_.hyperblocks().size();
-        scalarMerge_.assign(numHbs, {});
+        scalarMerge_.clear();
+        mergeStart_.assign(numHbs + 1, 0);
         ctrlMerge_.assign(numHbs, nullptr);
         continuePred_.assign(numHbs, PortRef{});
         ringMerge_.assign(numHbs * static_cast<size_t>(parts_.numPartitions),
@@ -188,6 +190,8 @@ class GraphBuilder
     createHbInfosAndMerges()
     {
         for (const Hyperblock& hb : hbp_.hyperblocks()) {
+            mergeStart_[static_cast<size_t>(hb.id)] =
+                static_cast<uint32_t>(scalarMerge_.size());
             HbInfo info;
             info.id = hb.id;
             info.isLoop = hb.isLoop;
@@ -218,11 +222,9 @@ class GraphBuilder
                     g_->addInput(cm, {constNode(hb.id, 1, VT::Pred), 0});
             }
             // Scalar merges for every register live into the header.
-            std::vector<Node*>& merges =
-                scalarMerge_[static_cast<size_t>(hb.id)];
             for (int reg : live_.liveIn(hb.header)) {
                 Node* m = g_->newNode(NodeKind::Merge, VT::Word, hb.id);
-                merges.push_back(m);
+                scalarMerge_.push_back(m);
                 if (hb.id == entryHb_)
                     g_->addInput(m, entryValueOf(reg));
             }
@@ -235,6 +237,7 @@ class GraphBuilder
                     g_->addInput(m, {g_->initialToken, 0});
             }
         }
+        mergeStart_.back() = static_cast<uint32_t>(scalarMerge_.size());
     }
 
     /** Function-entry value of a register (params or zero). */
@@ -386,8 +389,6 @@ class GraphBuilder
         for (int p : fn_.block(b)->preds) {
             if (hbp_.hbOf(p) != hb.id || p == b)
                 continue;
-            if (!hb.blockSet.count(p))
-                continue;
             PortRef pathPred = edgePred(p, b);
             acc = acc.valid() ? predOr(acc, pathPred, hb.id) : pathPred;
         }
@@ -441,31 +442,34 @@ class GraphBuilder
         if (b == hb.header) {
             result = headerValue(reg);
         } else {
-            // Gather reaching values from in-hyperblock predecessors.
-            std::vector<std::pair<PortRef, PortRef>> arms;  // (pred, val)
+            // Gather reaching values from in-hyperblock predecessors
+            // as (pred, val) pairs on top of arms_: the lookups below
+            // recurse, each pushing and popping above this base.
+            const size_t base = arms_.size();
             bool allSame = true;
             PortRef first{};
             for (int p : fn_.block(b)->preds) {
-                if (hbp_.hbOf(p) != hb.id || !hb.blockSet.count(p))
+                if (hbp_.hbOf(p) != hb.id)
                     continue;
                 PortRef v = lookup(p, reg);
                 if (!first.valid())
                     first = v;
                 else if (v != first)
                     allSame = false;
-                arms.push_back({edgePred(p, b), v});
+                PortRef pred = edgePred(p, b);
+                arms_.push_back(pred);
+                arms_.push_back(v);
             }
-            CASH_ASSERT(!arms.empty(), "no reaching definitions");
+            CASH_ASSERT(arms_.size() > base, "no reaching definitions");
             if (allSame) {
                 result = first;
             } else {
                 Node* mux = g_->newNode(NodeKind::Mux, VT::Word, hb.id);
-                for (auto& [p, v] : arms) {
-                    g_->addInput(mux, p);
-                    g_->addInput(mux, v);
-                }
+                for (size_t i = base; i < arms_.size(); i++)
+                    g_->addInput(mux, arms_[i]);
                 result = {mux, 0};
             }
+            arms_.resize(base);
         }
         inMemo_.set(b, reg, result);
         return result;
@@ -752,8 +756,9 @@ class GraphBuilder
             return {c, 0};
         };
 
+        std::vector<PortRef>& srcs = srcs_;
         for (int j = 0; j < k; j++) {
-            std::vector<PortRef> srcs;
+            srcs.clear();
             for (int i = 0; i < n; i++) {
                 if (i == j || !has(row(edge_, i), j))
                     continue;
@@ -771,7 +776,7 @@ class GraphBuilder
         if (hasExits) {
             for (int p = 0; p < np; p++) {
                 int xv = k + np + p;
-                std::vector<PortRef> srcs;
+                srcs.clear();
                 for (int i = 0; i < k + np; i++) {
                     if (!has(row(edge_, i), xv))
                         continue;
@@ -872,9 +877,8 @@ class GraphBuilder
                             {constNode(hb.id, 1, VT::Pred), 0}, predE,
                             e.isBackEdge, hb.id, VT::Pred);
             // Scalar etas for registers the target has merges for.
-            const std::vector<Node*>& merges =
-                scalarMerge_[static_cast<size_t>(target.id)];
-            const std::vector<int>& regs = live_.liveIn(target.header);
+            const std::span<Node* const> merges = scalarMergesOf(target);
+            const std::span<const int> regs = live_.liveIn(target.header);
             for (size_t k = 0; k < merges.size(); k++)
                 addEdgeDelivery(merges[k], lookup(e.srcBlock, regs[k]),
                                 predE, e.isBackEdge, hb.id, VT::Word);
@@ -918,15 +922,24 @@ class GraphBuilder
     Node*
     scalarMergeOf(const Hyperblock& hb, int reg) const
     {
-        const std::vector<Node*>& merges =
-            scalarMerge_[static_cast<size_t>(hb.id)];
+        const std::span<Node* const> merges = scalarMergesOf(hb);
         if (merges.empty())
             return nullptr;
-        const std::vector<int>& regs = live_.liveIn(hb.header);
+        const std::span<const int> regs = live_.liveIn(hb.header);
         auto it = std::lower_bound(regs.begin(), regs.end(), reg);
         if (it == regs.end() || *it != reg)
             return nullptr;
         return merges[static_cast<size_t>(it - regs.begin())];
+    }
+
+    /** The scalar merges of @p hb's header, parallel to
+     *  live_.liveIn(header); empty when it has none. */
+    std::span<Node* const>
+    scalarMergesOf(const Hyperblock& hb) const
+    {
+        const size_t h = static_cast<size_t>(hb.id);
+        return {scalarMerge_.data() + mergeStart_[h],
+                scalarMerge_.data() + mergeStart_[h + 1]};
     }
 
     /** The predicate of block @p b, computed earlier in this
@@ -956,9 +969,12 @@ class GraphBuilder
     int entryHb_ = 0;
 
     // Tables indexed by hyperblock, block or node id.
-    /** Per hyperblock: the scalar merge of each register live into its
+    /** The scalar merge of each register live into each hyperblock's
      *  header, parallel to live_.liveIn(header) (ascending). */
-    std::vector<std::vector<Node*>> scalarMerge_;
+    std::vector<Node*> scalarMerge_;
+    /** Hyperblock h's merges are scalarMerge_[mergeStart_[h],
+     *  mergeStart_[h + 1]). */
+    std::vector<uint32_t> mergeStart_;
     std::vector<Node*> ctrlMerge_;
     /** Loop-continuation decider per hyperblock (invalid: none). */
     std::vector<PortRef> continuePred_;
@@ -989,6 +1005,11 @@ class GraphBuilder
     /** wireTokens()' bitset rows: the token DAG, its closure, and the
      *  closure's columns. */
     std::vector<uint64_t> edge_, reach_, reachedBy_;
+    /** wireTokens()' token sources of one op or exit. */
+    std::vector<PortRef> srcs_;
+    /** inValue()'s (predicate, value) arms, a stack shared by its
+     *  recursive calls. */
+    std::vector<PortRef> arms_;
 };
 
 } // namespace

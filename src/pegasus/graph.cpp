@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <new>
-#include <set>
 
 namespace cash {
 
@@ -46,7 +45,6 @@ Graph::newArith(Op op, PortRef a, PortRef b, int hyperblock, VT type)
 {
     Node* n = newNode(NodeKind::Arith, type, hyperblock);
     n->op = op;
-    n->inputs_.reserve(2);
     addInput(n, a);
     addInput(n, b);
     return n;
@@ -278,31 +276,6 @@ Graph::numLive() const
         if (!n->dead)
             c++;
     return c;
-}
-
-std::vector<PortRef>
-Graph::tokenSources(const Node* n) const
-{
-    std::vector<PortRef> out;
-    int ti = n->tokenInIndex();
-    if (ti < 0 || ti >= n->numInputs())
-        return out;
-    std::vector<PortRef> work{n->input(ti)};
-    std::set<const Node*> seen;
-    while (!work.empty()) {
-        PortRef cur = work.back();
-        work.pop_back();
-        if (!cur.valid() || seen.count(cur.node))
-            continue;
-        seen.insert(cur.node);
-        if (cur.node->kind == NodeKind::Combine) {
-            for (const PortRef& in : cur.node->inputs())
-                work.push_back(in);
-        } else {
-            out.push_back(cur);
-        }
-    }
-    return out;
 }
 
 void

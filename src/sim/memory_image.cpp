@@ -23,7 +23,7 @@ MemoryImage::reset()
 uint32_t
 MemoryImage::load(uint32_t addr, int size, bool signExtend) const
 {
-    if (addr == 0 || addr + size > mem_.size())
+    if (addr == 0 || !MemoryLayout::inBounds(addr, size))
         fatal("simulated load from invalid address " +
               std::to_string(addr));
     uint32_t v = 0;
@@ -38,7 +38,7 @@ MemoryImage::load(uint32_t addr, int size, bool signExtend) const
 void
 MemoryImage::store(uint32_t addr, uint32_t value, int size)
 {
-    if (addr == 0 || addr + size > mem_.size())
+    if (addr == 0 || !MemoryLayout::inBounds(addr, size))
         fatal("simulated store to invalid address " +
               std::to_string(addr));
     for (int i = 0; i < size; i++)

@@ -4,36 +4,46 @@
 
 namespace cash {
 
-void
-StatSet::add(const std::string& name, int64_t delta)
+int64_t&
+StatSet::slot(std::string_view name)
 {
-    counters_[name] += delta;
+    auto it = counters_.lower_bound(name);
+    if (it == counters_.end() || it->first != name)
+        it = counters_.emplace_hint(it, std::string(name), 0);
+    return it->second;
 }
 
 void
-StatSet::set(const std::string& name, int64_t value)
+StatSet::add(std::string_view name, int64_t delta)
 {
-    counters_[name] = value;
-    gauges_.insert(name);
+    slot(name) += delta;
+}
+
+void
+StatSet::set(std::string_view name, int64_t value)
+{
+    slot(name) = value;
+    if (gauges_.find(name) == gauges_.end())
+        gauges_.emplace(name);
 }
 
 bool
-StatSet::isGauge(const std::string& name) const
+StatSet::isGauge(std::string_view name) const
 {
-    return gauges_.count(name) != 0;
+    return gauges_.find(name) != gauges_.end();
 }
 
 int64_t
-StatSet::get(const std::string& name) const
+StatSet::get(std::string_view name) const
 {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
 }
 
 bool
-StatSet::has(const std::string& name) const
+StatSet::has(std::string_view name) const
 {
-    return counters_.count(name) != 0;
+    return counters_.find(name) != counters_.end();
 }
 
 void
@@ -47,12 +57,10 @@ void
 StatSet::merge(const StatSet& other)
 {
     for (const auto& [k, v] : other.counters_) {
-        if (other.isGauge(k)) {
-            counters_[k] = v;
-            gauges_.insert(k);
-        } else {
-            counters_[k] += v;
-        }
+        if (other.isGauge(k))
+            set(k, v);
+        else
+            add(k, v);
     }
 }
 

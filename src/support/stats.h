@@ -30,27 +30,34 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 
 namespace cash {
 
-/** A bag of named 64-bit counters. */
+/**
+ * A bag of named 64-bit counters.  Names are looked up without being
+ * copied: bumping a counter that exists allocates nothing.
+ */
 class StatSet
 {
   public:
+    /** Name-ordered counters; looked up by any string type. */
+    using Counters = std::map<std::string, int64_t, std::less<>>;
+
     /** Add @p delta to counter @p name (creating it at zero). */
-    void add(const std::string& name, int64_t delta = 1);
+    void add(std::string_view name, int64_t delta = 1);
 
     /** Set counter @p name to @p value, marking it as a gauge. */
-    void set(const std::string& name, int64_t value);
+    void set(std::string_view name, int64_t value);
 
     /** Read counter @p name; missing counters read as zero. */
-    int64_t get(const std::string& name) const;
+    int64_t get(std::string_view name) const;
 
     /** True when the counter exists. */
-    bool has(const std::string& name) const;
+    bool has(std::string_view name) const;
 
     /** True when @p name was written with set() (merge = last writer). */
-    bool isGauge(const std::string& name) const;
+    bool isGauge(std::string_view name) const;
 
     /** Remove all counters. */
     void clear();
@@ -68,14 +75,17 @@ class StatSet
      */
     StatSet diff(const StatSet& before) const;
 
-    const std::map<std::string, int64_t>& all() const { return counters_; }
+    const Counters& all() const { return counters_; }
 
     /** Render as "name = value" lines, sorted by name. */
     std::string str() const;
 
   private:
-    std::map<std::string, int64_t> counters_;
-    std::set<std::string> gauges_;
+    /** The counter @p name, created at zero if missing. */
+    int64_t& slot(std::string_view name);
+
+    Counters counters_;
+    std::set<std::string, std::less<>> gauges_;
 };
 
 /** True for a wall-clock (the only non-deterministic) counter:

@@ -122,8 +122,8 @@ TEST(Builder, ProgramOrderChainAtCoarseLevel)
     });
     ASSERT_NE(load, nullptr);
     ASSERT_NE(store, nullptr);
-    std::vector<PortRef> srcs =
-        optutil::expandTokenSources(store->input(1));
+    std::vector<PortRef> srcs;
+    optutil::expandTokenSources(store->input(1), srcs);
     bool viaLoad = false;
     for (const PortRef& s : srcs)
         if (s.node == load)
@@ -143,9 +143,10 @@ TEST(Builder, ReadsAreNotSequentialized)
             loads.push_back(n);
     });
     ASSERT_EQ(loads.size(), 2u);
+    std::vector<PortRef> srcs;
     for (const Node* a : loads) {
-        for (const PortRef& s :
-             optutil::expandTokenSources(a->input(1)))
+        optutil::expandTokenSources(a->input(1), srcs);
+        for (const PortRef& s : srcs)
             EXPECT_NE(s.node, a == loads[0] ? loads[1] : loads[0]);
     }
 }
@@ -168,10 +169,12 @@ TEST(Builder, DisjointArraysSeparateRingsAtMedium)
     });
     ASSERT_EQ(stores.size(), 2u);
     EXPECT_NE(stores[0]->partition, stores[1]->partition);
-    for (const Node* s : stores)
-        for (const PortRef& src :
-             optutil::expandTokenSources(s->input(1)))
+    std::vector<PortRef> srcs;
+    for (const Node* s : stores) {
+        optutil::expandTokenSources(s->input(1), srcs);
+        for (const PortRef& src : srcs)
             EXPECT_NE(src.node, s == stores[0] ? stores[1] : stores[0]);
+    }
 }
 
 TEST(Builder, ReturnCollectsAllPartitions)
@@ -183,8 +186,8 @@ TEST(Builder, ReturnCollectsAllPartitions)
     const Graph* g = r.graph("f");
     ASSERT_EQ(g->returnNodes.size(), 1u);
     const Node* ret = g->returnNodes[0];
-    std::vector<PortRef> srcs =
-        optutil::expandTokenSources(ret->input(1));
+    std::vector<PortRef> srcs;
+    optutil::expandTokenSources(ret->input(1), srcs);
     // Both stores must be ordered before the return.
     int storeSrcs = 0;
     for (const PortRef& s : srcs)
@@ -208,8 +211,8 @@ TEST(Builder, TransitiveReductionAtConstruction)
             stores.push_back(n);
     });
     ASSERT_EQ(stores.size(), 2u);
-    std::vector<PortRef> srcs =
-        optutil::expandTokenSources(stores[1]->input(1));
+    std::vector<PortRef> srcs;
+    optutil::expandTokenSources(stores[1]->input(1), srcs);
     for (const PortRef& s : srcs)
         EXPECT_NE(s.node, stores[0]);
 }

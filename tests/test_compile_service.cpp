@@ -1048,6 +1048,44 @@ TEST_F(ServiceFixture, WallGuardTimesOutAndNeverCaches)
     EXPECT_EQ(server_->metrics().get("svc.cache.hits"), 0);
 }
 
+TEST_F(ServiceFixture, WrappedAddressGetsAnErrorAndTheServerGoesOn)
+{
+    // g[-1025] addresses 0xFFFFFFFC, whose 4-byte end wraps to 0: the
+    // simulated memory's bounds check must reject it rather than let
+    // the request worker index past the memory.
+    startServer("wrap");
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(cfg_.socketPath).isOk());
+    Json opts = Json::object();
+    opts.set("run", Json::string("run(-1025)"));
+    for (const char* source :
+         {"int g[4];\nint run(int a) { g[0] = 7; return g[a]; }\n",
+          "int g[4];\nint run(int a) { g[a] = 7; return g[0]; }\n"}) {
+        Json resp;
+        ASSERT_TRUE(client.call(makeCompileRequest("simulate", source, opts),
+                                &resp)
+                        .isOk());
+        ASSERT_TRUE(resp.getBool("ok"));
+        const Json* body = resp.get("body");
+        ASSERT_NE(body, nullptr);
+        EXPECT_EQ(body->getInt("exit"), 1);
+        ASSERT_NE(body->get("fatal"), nullptr);
+        EXPECT_NE(body->getString("fatal").find("invalid address"),
+                  std::string::npos)
+            << body->getString("fatal");
+    }
+    // The same connection and server still answer a sound request.
+    Json next = Json::object();
+    next.set("run", Json::string("triangle(5)"));
+    Json resp;
+    ASSERT_TRUE(
+        client.call(makeCompileRequest("simulate", kProgC, next), &resp)
+            .isOk());
+    ASSERT_TRUE(resp.getBool("ok"));
+    EXPECT_EQ(resp.get("body")->getInt("exit"), 0);
+    ASSERT_NE(resp.get("body")->get("sim"), nullptr);
+}
+
 // ---------------------------------------------------------------------
 // Client: connect retry, I/O timeouts
 // ---------------------------------------------------------------------

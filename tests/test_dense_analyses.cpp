@@ -318,8 +318,9 @@ TEST(DenseAnalyses, BitsetLivenessMatchesSetFixpoint)
             Liveness live(*fn);
             std::vector<std::set<int>> ref = referenceLiveIn(*fn);
             for (size_t b = 0; b < fn->blocks.size(); b++) {
-                const std::vector<int>& got = live.liveIn(static_cast<int>(b));
-                EXPECT_EQ(std::vector<int>(ref[b].begin(), ref[b].end()), got)
+                std::span<const int> got = live.liveIn(static_cast<int>(b));
+                EXPECT_EQ(std::vector<int>(ref[b].begin(), ref[b].end()),
+                          std::vector<int>(got.begin(), got.end()))
                     << fn->decl->name << " block " << b;
                 blocks++;
             }

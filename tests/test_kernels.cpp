@@ -99,8 +99,8 @@ TEST(KernelSuite, TokenGraphStaysTransitivelyReduced)
                 int ti = optutil::tokenConsumerInput(n);
                 if (ti < 0 || ti >= n->numInputs())
                     return;
-                std::vector<PortRef> srcs =
-                    optutil::expandTokenSources(n->input(ti));
+                std::vector<PortRef> srcs;
+                optutil::expandTokenSources(n->input(ti), srcs);
                 for (size_t i = 0; i < srcs.size(); i++) {
                     for (size_t j = 0; j < srcs.size(); j++) {
                         if (i == j)

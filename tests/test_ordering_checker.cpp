@@ -437,9 +437,11 @@ TEST(OrderingChecker, QueriesAreConsistentOnCompiledGraphs)
     EXPECT_FALSE(checker.sideEffects().empty());
     EXPECT_FALSE(checker.tokenNodes().empty());
     EXPECT_GT(checker.stats().tokenEdges, 0);
+    std::vector<const Node*> sources;
     for (const Node* a : checker.sideEffects()) {
         // A side effect's ordering sources exist and produce tokens.
-        for (const Node* src : checker.orderingSources(a)) {
+        OrderingChecker::orderingSources(a, sources);
+        for (const Node* src : sources) {
             EXPECT_NE(src->kind, NodeKind::Combine);
             EXPECT_TRUE(checker.tokenReaches(src, a))
                 << src->id << " -> " << a->id;

@@ -49,7 +49,7 @@ TEST(PointsTo, DirectGlobalAccessGetsItsObject)
     auto ops = memOps(*b.cfg->find("f"));
     ASSERT_EQ(ops.size(), 1u);
     EXPECT_FALSE(ops[0]->rwSet.isTop());
-    EXPECT_TRUE(ops[0]->rwSet.locations().count(
+    EXPECT_TRUE(ops[0]->rwSet.contains(
         b.prog.globals[0]->objectId));
 }
 
@@ -122,7 +122,7 @@ TEST(PointsTo, PointerArithmeticKeepsProvenance)
                       " return *p; }");
     auto ops = memOps(*b.cfg->find("f"));
     ASSERT_EQ(ops.size(), 1u);
-    EXPECT_TRUE(ops[0]->rwSet.locations().count(
+    EXPECT_TRUE(ops[0]->rwSet.contains(
         b.prog.globals[0]->objectId));
 }
 
