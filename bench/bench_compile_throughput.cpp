@@ -5,7 +5,7 @@
  *
  * CASH compiles every function to an independent Pegasus graph (§3),
  * so the optimization phase is embarrassingly parallel; this bench
- * pins down how well the work-stealing pool converts cores into
+ * pins down how well fork-join parallelFor() converts cores into
  * compile throughput, and cross-checks that the parallel compile is
  * byte-identical to the serial one (stats modulo wall-clock timing,
  * and per-graph IR shape).
@@ -39,7 +39,7 @@
 #include <new>
 
 #include "bench_util.h"
-#include "support/thread_pool.h"
+#include "support/parallel.h"
 
 namespace {
 
@@ -257,7 +257,7 @@ int
 main()
 {
     const bool smoke = benchutil::smokeMode();
-    const int hw = ThreadPool::hardwareConcurrency();
+    const int hw = hardwareThreads();
     const int wideFuncs = smoke ? 8 : 48;
     const int wideReps = smoke ? 1 : 5;
     const int suiteReps = smoke ? 1 : 3;
@@ -268,8 +268,8 @@ main()
     if (hw > 1)
         jobCounts.push_back(hw);
 
-    std::printf("Compile throughput: per-function optimization on the "
-                "work-stealing pool\n");
+    std::printf("Compile throughput: per-function optimization, "
+                "fork-join at -j1..-jN\n");
     std::printf("(%d hardware threads; wide = one %d-function unit, "
                 "suite = Table-2 kernels)\n\n",
                 hw, wideFuncs);

@@ -297,20 +297,6 @@ InterprocModel::callWriteSet(const Graph& g, const Node* call) const
                      threadMarks());
 }
 
-const LocationSet*
-InterprocModel::funcRef(const FuncDecl* decl) const
-{
-    int i = functionIndex(decl);
-    return i < 0 ? nullptr : &ref_[i];
-}
-
-const LocationSet*
-InterprocModel::funcMod(const FuncDecl* decl) const
-{
-    int i = functionIndex(decl);
-    return i < 0 ? nullptr : &mod_[i];
-}
-
 LocationSet
 InterprocModel::pointsTo(const Graph& g, PortRef v) const
 {

@@ -64,12 +64,6 @@ class InterprocModel
     /** Effective may-write set; same conventions as callReadSet(). */
     LocationSet callWriteSet(const Graph& g, const Node* call) const;
 
-    /** Whole-function REF summary (own location space); null unknown. */
-    const LocationSet* funcRef(const FuncDecl* decl) const;
-
-    /** Whole-function MOD summary (own location space); null unknown. */
-    const LocationSet* funcMod(const FuncDecl* decl) const;
-
     /**
      * Abstract points-to set of value @p v in @p g: the objects (and
      * pointer-parameter externals) the value may address.  Exposed for

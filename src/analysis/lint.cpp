@@ -497,17 +497,6 @@ class SummaryDivergenceRule : public LintRule
     }
 };
 
-/** Registry keys spell '-' and '_' interchangeably (as PassRegistry). */
-std::string
-normalizeRuleName(const std::string& name)
-{
-    std::string key = name;
-    for (char& c : key)
-        if (c == '-')
-            c = '_';
-    return key;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -569,14 +558,14 @@ void
 LintRegistry::registerRule(const std::string& name, Factory factory)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    factories_[normalizeRuleName(name)] = std::move(factory);
+    factories_[registryKey(name)] = std::move(factory);
 }
 
 bool
 LintRegistry::has(const std::string& name) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return factories_.count(normalizeRuleName(name)) != 0;
+    return factories_.count(registryKey(name)) != 0;
 }
 
 std::vector<std::string>
@@ -596,7 +585,7 @@ LintRegistry::create(const std::string& name) const
     Factory factory;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = factories_.find(normalizeRuleName(name));
+        auto it = factories_.find(registryKey(name));
         if (it != factories_.end())
             factory = it->second;
     }

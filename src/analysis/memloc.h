@@ -123,9 +123,6 @@ class AliasOracle
     /** May the two read/write sets touch a common address? */
     bool mayOverlap(const LocationSet& a, const LocationSet& b) const;
 
-    /** All external (pointer-param) locations. */
-    const std::set<int>& externalLocations() const { return externals_; }
-
     /** All normalized (a ≤ b) independence pairs from pragmas. */
     const std::set<std::pair<int, int>>& independentPairs() const
     {

@@ -135,15 +135,6 @@ setJson(const ModRefSummaries& s, const LocationSet& set)
 
 } // namespace
 
-const FunctionModRef*
-ModRefSummaries::byDecl(const FuncDecl* decl) const
-{
-    for (const FunctionModRef& f : functions_)
-        if (f.decl == decl)
-            return &f;
-    return nullptr;
-}
-
 std::string
 ModRefSummaries::locName(int loc) const
 {

@@ -84,9 +84,6 @@ class ModRefSummaries
         return callSites_;
     }
 
-    /** Summary of @p decl, or null when unknown. */
-    const FunctionModRef* byDecl(const FuncDecl* decl) const;
-
     /** Human-readable name of abstract location @p loc. */
     std::string locName(int loc) const;
     /** "{a,b,main.p}" rendering of @p s with symbolic names. */

@@ -9,7 +9,7 @@
 #include "frontend/sema.h"
 #include "pegasus/builder.h"
 #include "pegasus/verifier.h"
-#include "support/thread_pool.h"
+#include "support/parallel.h"
 
 namespace cash {
 
@@ -142,7 +142,8 @@ compileSource(const std::string& source, const CompileOptions& options)
     // Per-function optimization, embarrassingly parallel: every
     // function owns an independent Pegasus graph, and the shared
     // analysis inputs (alias oracle, layout) are immutable from here
-    // on.  Workers write only their own function's graph and slot.
+    // on.  One parallelFor() call runs a task per function (inline at
+    // jobs=1); a task writes only its own function's graph and slot.
     // ------------------------------------------------------------------
     std::vector<std::string> pipelineNames =
         options.passNames.empty() ? standardPipelineNames(options.level)
@@ -167,8 +168,7 @@ compileSource(const std::string& source, const CompileOptions& options)
         interprocModel = std::make_unique<InterprocModel>(
             r.graphPtrs(), r.cfg->paramLocation, *r.layout);
 
-    int jobs = options.numJobs > 0 ? options.numJobs
-                                   : ThreadPool::hardwareConcurrency();
+    int jobs = options.numJobs > 0 ? options.numJobs : hardwareThreads();
     jobs = std::max(1, std::min<int>(jobs,
                                      static_cast<int>(r.graphs.size())));
     const bool traceOn = tracer && tracer->enabled();
@@ -180,7 +180,7 @@ compileSource(const std::string& source, const CompileOptions& options)
         faults = &FaultPlan::fromEnv();
 
     std::vector<FuncOptSlot> slots(r.graphs.size());
-    auto optimizeOne = [&](size_t i, int) {
+    auto optimizeOne = [&](size_t i) {
         Graph& g = *r.graphs[i];
         FuncOptSlot& slot = slots[i];
         if (traceOn) {
@@ -250,13 +250,7 @@ compileSource(const std::string& source, const CompileOptions& options)
         ScopedTimer t = timer("optimize", "opt.phase", "time.optimize.us");
         t.arg("jobs", jobs);
         t.arg("functions", static_cast<int64_t>(r.graphs.size()));
-        if (jobs <= 1) {
-            for (size_t i = 0; i < r.graphs.size(); i++)
-                optimizeOne(i, 0);
-        } else {
-            ThreadPool pool(jobs);
-            pool.parallelFor(r.graphs.size(), optimizeOne);
-        }
+        parallelFor(r.graphs.size(), jobs, optimizeOne);
         // Deterministic merge: function-declaration order, single
         // thread.
         for (FuncOptSlot& slot : slots) {

@@ -13,8 +13,8 @@
  * @endcode
  *
  * Each function compiles to an independent Pegasus graph (§3), so the
- * optimization phase runs the per-function pipelines on a
- * work-stealing thread pool (`jobs()`).  Results are deterministic:
+ * optimization phase runs the per-function pipelines fork-join on
+ * `jobs()` threads (support/parallel.h).  Results are deterministic:
  * stats, traces and graphs are merged in function-declaration order,
  * so the output is byte-identical at any job count.
  *

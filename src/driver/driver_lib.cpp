@@ -193,10 +193,11 @@ runRequestLayers(const DriverRequest& req, DriverReply& rep)
 
     try {
         CompileResult r = compileSource(req.source, opts);
-        rep.compileStats = r.stats;
-        rep.diagnostics = r.diagnostics;
+        // ok() reads the diagnostics, so test it before moving them.
         if (!r.ok())
             rep.exitCode = 1;
+        rep.compileStats = std::move(r.stats);
+        rep.diagnostics = std::move(r.diagnostics);
 
         if (req.wantCfg)
             for (const auto& fn : r.cfg->functions)

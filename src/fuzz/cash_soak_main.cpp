@@ -3,8 +3,8 @@
  * `cash-soak` — the traffic-scale fuzz/soak driver (docs/FUZZING.md).
  *
  * Generates seeded Mini-C programs (fuzz/generator.h), pushes each
- * through the differential-oracle matrix (fuzz/oracles.h) on a worker
- * pool, auto-minimizes every violation into a grammar-reduced
+ * through the differential-oracle matrix (fuzz/oracles.h) on `-j`
+ * worker threads, auto-minimizes every violation into a grammar-reduced
  * reproducer (fuzz/minimize.h), and writes corpus artifacts plus a
  * `BENCH_soak.json` report (throughput, latency percentiles, outcome
  * histograms) so reliability is a per-PR trend line.
@@ -15,7 +15,7 @@
 #include "fuzz/generator.h"
 #include "fuzz/minimize.h"
 #include "fuzz/oracles.h"
-#include "support/thread_pool.h"
+#include "support/parallel.h"
 
 #include "bench/bench_util.h"
 
@@ -247,7 +247,7 @@ main(int argc, char** argv)
     }
 
     // ------------------------------------------------------------------
-    // Campaign: the seed range on a worker pool.
+    // Campaign: the seed range on `-j` worker threads.
     // ------------------------------------------------------------------
     const size_t n = static_cast<size_t>(seedHi - seedLo + 1);
     std::vector<CaseReport> results(n);
@@ -255,21 +255,16 @@ main(int argc, char** argv)
     std::atomic<int64_t> violationCount{0};
 
     auto t0 = std::chrono::steady_clock::now();
-    {
-        ThreadPool pool(jobs);
-        pool.parallelFor(n, [&](size_t i, int) {
-            if (stopAfter > 0 &&
-                violationCount.load(std::memory_order_relaxed) >=
-                    stopAfter) {
-                skipped[i] = 1;
-                return;
-            }
-            results[i] = runCase(seedLo + i, cfg);
-            if (results[i].violation())
-                violationCount.fetch_add(1,
-                                         std::memory_order_relaxed);
-        });
-    }
+    parallelFor(n, jobs, [&](size_t i) {
+        if (stopAfter > 0 &&
+            violationCount.load(std::memory_order_relaxed) >= stopAfter) {
+            skipped[i] = 1;
+            return;
+        }
+        results[i] = runCase(seedLo + i, cfg);
+        if (results[i].violation())
+            violationCount.fetch_add(1, std::memory_order_relaxed);
+    });
     auto elapsedMs =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - t0)

@@ -71,21 +71,6 @@ void registerMonotonePipeliningPass(PassRegistry&);
 void registerLoopDecouplingPass(PassRegistry&);
 void registerInterprocTokenPruningPass(PassRegistry&);
 
-namespace {
-
-/** Registry keys spell '-' and '_' interchangeably. */
-std::string
-normalizePassName(const std::string& name)
-{
-    std::string key = name;
-    for (char& c : key)
-        if (c == '-')
-            c = '_';
-    return key;
-}
-
-} // namespace
-
 PassRegistry&
 PassRegistry::global()
 {
@@ -113,14 +98,14 @@ void
 PassRegistry::registerPass(const std::string& name, Factory factory)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    factories_[normalizePassName(name)] = std::move(factory);
+    factories_[registryKey(name)] = std::move(factory);
 }
 
 bool
 PassRegistry::has(const std::string& name) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return factories_.count(normalizePassName(name)) != 0;
+    return factories_.count(registryKey(name)) != 0;
 }
 
 std::vector<std::string>
@@ -140,7 +125,7 @@ PassRegistry::create(const std::string& name) const
     Factory factory;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = factories_.find(normalizePassName(name));
+        auto it = factories_.find(registryKey(name));
         if (it != factories_.end())
             factory = it->second;
     }

@@ -65,12 +65,6 @@ Graph::truePred(int hyperblock)
     return newConst(1, VT::Pred, hyperblock);
 }
 
-Node*
-Graph::falsePred(int hyperblock)
-{
-    return newConst(0, VT::Pred, hyperblock);
-}
-
 void
 Graph::addInput(Node* n, PortRef v, bool backEdge)
 {

@@ -64,9 +64,8 @@ class Graph
     Node* newArith1(Op op, PortRef a, int hyperblock,
                     VT type = VT::Word);
 
-    /** Convenience predicate constants. */
+    /** Convenience predicate constant. */
     Node* truePred(int hyperblock);
-    Node* falsePred(int hyperblock);
 
     // -----------------------------------------------------------------
     // Mutation (keeps use lists consistent)

@@ -8,6 +8,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "support/parallel.h"
+
 namespace cash {
 
 namespace {
@@ -98,10 +100,7 @@ ServiceServer::start()
         std::lock_guard<std::mutex> lock(queueMu_);
         readersJoined_ = false;
     }
-    int workers = cfg_.jobs;
-    if (workers <= 0)
-        workers = static_cast<int>(
-            std::max(1u, std::thread::hardware_concurrency()));
+    const int workers = cfg_.jobs > 0 ? cfg_.jobs : hardwareThreads();
     {
         std::lock_guard<std::mutex> lock(metricsMu_);
         workerCount_ = workers;

@@ -75,4 +75,14 @@ padRight(const std::string& s, size_t w)
     return s + std::string(w - s.size(), ' ');
 }
 
+std::string
+registryKey(const std::string& name)
+{
+    std::string key = name;
+    for (char& c : key)
+        if (c == '-')
+            c = '_';
+    return key;
+}
+
 } // namespace cash

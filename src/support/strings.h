@@ -33,6 +33,12 @@ std::string padLeft(const std::string& s, size_t w);
 /** Right-pad @p s to width @p w. */
 std::string padRight(const std::string& s, size_t w);
 
+/**
+ * Registry key of @p name: '-' becomes '_', so pass and lint-rule
+ * names spell the two interchangeably.
+ */
+std::string registryKey(const std::string& name);
+
 } // namespace cash
 
 #endif // CASH_SUPPORT_STRINGS_H

@@ -1,7 +1,7 @@
 /**
  * @file
- * Determinism of parallel per-function compilation, and the
- * PassRegistry API.
+ * Determinism of parallel per-function compilation, the fork-join
+ * parallelFor() under it, and the PassRegistry API.
  *
  * The contract under test (docs/API.md): compiling at any job count
  * yields byte-identical results — same stats (modulo wall-clock
@@ -11,7 +11,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -19,7 +21,7 @@
 #include "driver/compiler.h"
 #include "pegasus/dot.h"
 #include "sim/dataflow_sim.h"
-#include "support/thread_pool.h"
+#include "support/parallel.h"
 
 using namespace cash;
 
@@ -171,27 +173,26 @@ TEST(ParallelCompile, ParseErrorsPropagateFromAnyJobCount)
 }
 
 // ---------------------------------------------------------------------
-// ThreadPool
+// parallelFor
 // ---------------------------------------------------------------------
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce)
+TEST(ParallelFor, RunsEveryTaskExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workers(), 4);
-    std::vector<int> hits(1000, 0);
-    pool.parallelFor(hits.size(),
-                     [&](size_t i, int) { hits[i]++; });
-    for (size_t i = 0; i < hits.size(); i++)
-        ASSERT_EQ(hits[i], 1) << i;
+    // n = 0, 1, fewer tasks than workers, and many more.
+    for (size_t n : {0u, 1u, 3u, 1000u}) {
+        std::vector<std::atomic<int>> hits(n);
+        parallelFor(n, 8, [&](size_t i) { hits[i]++; });
+        for (size_t i = 0; i < n; i++)
+            ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
 }
 
-TEST(ThreadPool, SerialPoolRunsInline)
+TEST(ParallelFor, SingleWorkerRunsInlineInOrder)
 {
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.workers(), 1);
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<size_t> order;
-    pool.parallelFor(16, [&](size_t i, int worker) {
-        EXPECT_EQ(worker, 0);
+    parallelFor(16, 1, [&](size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
         order.push_back(i);
     });
     ASSERT_EQ(order.size(), 16u);
@@ -199,33 +200,41 @@ TEST(ThreadPool, SerialPoolRunsInline)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, LowestIndexExceptionWins)
+TEST(ParallelFor, LowestIndexExceptionWins)
 {
-    ThreadPool pool(4);
-    for (int round = 0; round < 4; round++) {
-        try {
-            pool.parallelFor(64, [&](size_t i, int) {
-                if (i % 2 == 1)
-                    throw std::runtime_error("task " +
-                                             std::to_string(i));
-            });
-            FAIL() << "expected an exception";
-        } catch (const std::runtime_error& e) {
-            EXPECT_STREQ(e.what(), "task 1");
+    for (int workers : {1, 4}) {
+        for (int round = 0; round < 4; round++) {
+            std::vector<std::atomic<int>> hits(64);
+            try {
+                parallelFor(hits.size(), workers, [&](size_t i) {
+                    hits[i]++;
+                    if (i % 2 == 1)
+                        throw std::runtime_error("task " +
+                                                 std::to_string(i));
+                });
+                FAIL() << "expected an exception";
+            } catch (const std::runtime_error& e) {
+                EXPECT_STREQ(e.what(), "task 1");
+            }
+            for (size_t i = 0; i < hits.size(); i++)
+                ASSERT_EQ(hits[i].load(), 1)
+                    << "workers=" << workers << " i=" << i;
         }
     }
 }
 
-TEST(ThreadPool, ReusableAcrossBatches)
+TEST(ParallelFor, NestedCallCompletes)
 {
-    ThreadPool pool(3);
-    for (int batch = 0; batch < 50; batch++) {
-        std::vector<int> hits(batch + 1, 0);
-        pool.parallelFor(hits.size(),
-                         [&](size_t i, int) { hits[i]++; });
-        for (int h : hits)
-            ASSERT_EQ(h, 1);
-    }
+    // As cash-soak does: each outer task compiles at -jN, which runs
+    // its own parallelFor() inside a worker of the outer one.
+    std::vector<std::atomic<int>> hits(4 * 16);
+    parallelFor(4, 4, [&](size_t outer) {
+        parallelFor(16, 4, [&](size_t inner) {
+            hits[outer * 16 + inner]++;
+        });
+    });
+    for (size_t i = 0; i < hits.size(); i++)
+        ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
 // ---------------------------------------------------------------------
