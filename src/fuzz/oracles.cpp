@@ -253,23 +253,27 @@ judge(CaseReport* rc, const std::vector<Observed>& obs)
     if (rc->violation())
         return;
 
+    // A simulator budget trip exits non-zero too; it makes the case
+    // inconclusive, not a violation (budgets are engine-specific, so
+    // oracle A is meaningless).  Reaching here means no fatal and no
+    // pass diagnostics, so the trip is the whole story.
     for (const Observed& o : obs) {
-        if (o.exitCode != 0) {
+        const bool budgetTrip =
+            o.ranSim &&
+            (o.outcome == "event_limit" || o.outcome == "timeout");
+        if (budgetTrip) {
+            rc->inconclusive = true;
+        } else if (o.exitCode != 0) {
             flag(rc, "compile-exit",
                  o.label + ": exit " + std::to_string(o.exitCode) +
                      " on a generated program");
             return;
         }
     }
+    if (rc->inconclusive)
+        return;
 
     // Oracle A: engine/level/fabric agreement on semantics.
-    for (const Observed& o : obs) {
-        if (o.ranSim &&
-            (o.outcome == "event_limit" || o.outcome == "timeout")) {
-            rc->inconclusive = true;
-            return; // budgets are engine-specific; A is meaningless
-        }
-    }
     const Observed* first = nullptr;
     for (const Observed& o : obs) {
         if (!o.ranSim)

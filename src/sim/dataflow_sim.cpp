@@ -633,175 +633,123 @@ DataflowSimulator::enqueue(Activation* a, int node, int slot, Item item,
         // combinational operators) — straight onto the worklist.
         bucketOps_++;
         ready_.push_back(e);
-    } else if (when - now_ <= kWheelSize) {
+        return;
+    }
+    const uint64_t ahead = (when >> kBandBits) - (now_ >> kBandBits);
+    if (ahead < 2) {
         bucketOps_++;
-        const uint64_t s = when & (kWheelSize - 1);
+        const uint64_t s = when & (kFineSize - 1);
         wheel_[s].push_back(e);
         wheelBits_[s >> 6] |= 1ull << (s & 63);
         wheelCount_++;
+    } else if (ahead < 2 + kCoarseBands) {
+        bucketOps_++;
+        const uint64_t s = (when >> kBandBits) & (kCoarseBands - 1);
+        coarse_[s].push_back({when, e});
+        coarseBits_[s >> 6] |= 1ull << (s & 63);
+        coarseCount_++;
     } else {
-        // Coarse wheels: level j holds events whose band index
-        // (when >> kWheelBits*(j+1)) is within kWheelSize of now_'s —
-        // at any moment each band residue class maps to one absolute
-        // band, so insertion is a single push (see advanceTime).
-        int j = 0;
-        for (; j < kCoarseLevels; j++) {
-            const uint64_t shift = kWheelBits * (j + 1);
-            if ((when >> shift) - (now_ >> shift) < kWheelSize)
-                break;
-        }
-        if (j < kCoarseLevels) {
-            bucketOps_++;
-            const uint64_t shift = kWheelBits * (j + 1);
-            const uint64_t s = (when >> shift) & (kWheelSize - 1);
-            coarse_[j][s].push_back({when, e});
-            coarseBits_[j][s >> 6] |= 1ull << (s & 63);
-            coarseCount_[j]++;
-        } else {
-            heapOps_++;
-            overflow_.push({when, e});
-        }
+        heapOps_++;
+        overflow_.push({when, e});
     }
+}
+
+namespace {
+
+/** Distance from position @p s to the nearest set bit of the circular
+ *  bitmap @p bits (at least one bit must be set). */
+template <size_t Words>
+uint64_t
+nextSetBit(const std::array<uint64_t, Words>& bits, uint64_t s)
+{
+    uint64_t w = s >> 6;
+    uint64_t word = bits[w] >> (s & 63);
+    if (word)
+        return static_cast<uint64_t>(__builtin_ctzll(word));
+    uint64_t dist = 64 - (s & 63);
+    w = (w + 1) % Words;
+    while (!(word = bits[w])) {
+        dist += 64;
+        w = (w + 1) % Words;
+    }
+    return dist + static_cast<uint64_t>(__builtin_ctzll(word));
+}
+
+} // namespace
+
+void
+DataflowSimulator::migrateBand(uint64_t band)
+{
+    const uint64_t cs = band & (kCoarseBands - 1);
+    RecordBuf<TimedEvent>& src = coarse_[cs];
+    if (src.empty())
+        return;
+    coarseBits_[cs >> 6] &= ~(1ull << (cs & 63));
+    coarseCount_ -= src.size();
+    wheelCount_ += src.size();
+    for (const TimedEvent& te : src) {
+        const uint64_t fs = te.time & (kFineSize - 1);
+        wheel_[fs].push_back(te.e);
+        wheelBits_[fs >> 6] |= 1ull << (fs & 63);
+    }
+    src.clear();
 }
 
 bool
 DataflowSimulator::advanceTime()
 {
-    // Candidate dispatch time from the fine wheel and the heap, then
-    // pull down any coarse band that could precede it; repeat until
-    // the candidate is provably the global minimum.  Bands migrate
-    // one level at a time, so an event costs at most kCoarseLevels+1
-    // O(1) pushes over its queue lifetime.
-    for (;;) {
-        uint64_t next = 0;
-        bool have = false;
-        if (wheelCount_ > 0) {
-            // Nearest occupied fine slot: circular ctz scan over the
-            // occupancy words, starting at now_ + 1.
-            const uint64_t s = (now_ + 1) & (kWheelSize - 1);
-            uint64_t dist;  // occupied-slot distance from s
-            uint64_t w = s >> 6;
-            uint64_t bits = wheelBits_[w] >> (s & 63);
-            if (bits) {
-                dist = static_cast<uint64_t>(__builtin_ctzll(bits));
-            } else {
-                dist = 64 - (s & 63);
-                w = (w + 1) & (kWheelWords - 1);
-                while (!(bits = wheelBits_[w])) {
-                    dist += 64;
-                    w = (w + 1) & (kWheelWords - 1);
-                }
-                dist += static_cast<uint64_t>(__builtin_ctzll(bits));
-            }
-            next = now_ + 1 + dist;
-            have = true;
+    // Fine events all precede coarse ones, so the coarse wheel matters
+    // only once the fine wheel runs dry.  Then, unless the heap holds
+    // something earlier, the clock skips the idle cycles up to the
+    // last one before the nearest coarse band, and entering that
+    // cycle's band brings the coarse band down.
+    if (wheelCount_ == 0 && coarseCount_ > 0) {
+        const uint64_t first = (now_ >> kBandBits) + 2;
+        const uint64_t band =
+            first + nextSetBit(coarseBits_, first & (kCoarseBands - 1));
+        const uint64_t lo = band << kBandBits;
+        if (overflow_.empty() || overflow_.top().time >= lo) {
+            now_ = lo - 1;
+            migrateBand(band);
         }
-        if (!overflow_.empty() &&
-            (!have || overflow_.top().time < next)) {
-            next = overflow_.top().time;
-            have = true;
-        }
-        // Nearest pending coarse band (by band start) across levels.
-        // Pending band indices live in [cStart, cStart + 255] with
-        // cStart = (now_+1) >> shift: when now_+1 is band-aligned (as
-        // after a band-edge jump below), now_'s own band can hold no
-        // future time and the window starts one past it — scanning
-        // from now_'s residue would misresolve a wrapped slot to a
-        // band 256 too low and leap the clock over pending events.
-        int bj = -1;
-        uint64_t bandIdx = 0, bandLo = 0;
-        for (int j = 0; j < kCoarseLevels; j++) {
-            if (coarseCount_[j] == 0)
-                continue;
-            const uint64_t shift = kWheelBits * (j + 1);
-            const uint64_t cStart = (now_ + 1) >> shift;
-            const uint64_t s = cStart & (kWheelSize - 1);
-            uint64_t dist;
-            uint64_t w = s >> 6;
-            uint64_t bits = coarseBits_[j][w] >> (s & 63);
-            if (bits) {
-                dist = static_cast<uint64_t>(__builtin_ctzll(bits));
-            } else {
-                dist = 64 - (s & 63);
-                w = (w + 1) & (kWheelWords - 1);
-                while (!(bits = coarseBits_[j][w])) {
-                    dist += 64;
-                    w = (w + 1) & (kWheelWords - 1);
-                }
-                dist += static_cast<uint64_t>(__builtin_ctzll(bits));
-            }
-            const uint64_t lo = (cStart + dist) << shift;
-            if (bj < 0 || lo < bandLo) {
-                bj = j;
-                bandIdx = cStart + dist;
-                bandLo = lo;
-            }
-        }
-        if (bj < 0 || (have && next < bandLo)) {
-            if (!have)
-                return false;  // nothing pending anywhere
-            now_ = next;
-            break;
-        }
-        // The band might hold the earliest event.  Nothing pends in
-        // (now_, bandLo): the fine/heap candidate is >= bandLo and
-        // every other band starts later — so jumping now_ to the band
-        // edge skips only idle cycles, and re-establishes the lower
-        // level's residue-window invariant for the migrated times.
-        if (bandLo > now_ + 1)
-            now_ = bandLo - 1;
-        const uint64_t bs = bandIdx & (kWheelSize - 1);
-        RecordBuf<TimedEvent>& band = coarse_[bj][bs];
-        const bool dirty = coarseDirty_[bj][bs] != 0;
-        coarseDirty_[bj][bs] = 0;
-        coarseBits_[bj][bs >> 6] &= ~(1ull << (bs & 63));
-        coarseCount_[bj] -= band.size();
-        if (bj == 0) {
-            for (const TimedEvent& te : band) {
-                const uint64_t fs = te.time & (kWheelSize - 1);
-                // An occupied target means same-time events whose
-                // seqs interleave with ours: flag for a drain sort.
-                if (dirty || !wheel_[fs].empty())
-                    wheelDirty_[fs] = 1;
-                wheel_[fs].push_back(te.e);
-                wheelBits_[fs >> 6] |= 1ull << (fs & 63);
-            }
-            wheelCount_ += band.size();
-        } else {
-            const uint64_t lshift = kWheelBits * bj;
-            for (const TimedEvent& te : band) {
-                const uint64_t fs =
-                    (te.time >> lshift) & (kWheelSize - 1);
-                if (dirty || !coarse_[bj - 1][fs].empty())
-                    coarseDirty_[bj - 1][fs] = 1;
-                coarse_[bj - 1][fs].push_back(te);
-                coarseBits_[bj - 1][fs >> 6] |= 1ull << (fs & 63);
-            }
-            coarseCount_[bj - 1] += band.size();
-        }
-        band.clear();
     }
+    uint64_t next;
+    if (wheelCount_ > 0) {
+        const uint64_t s = now_ + 1;
+        next = s + nextSetBit(wheelBits_, s & (kFineSize - 1));
+        if (!overflow_.empty() && overflow_.top().time < next)
+            next = overflow_.top().time;
+    } else if (!overflow_.empty()) {
+        next = overflow_.top().time;
+    } else {
+        return false;  // nothing pending anywhere
+    }
+    // Entering band b brings band b+1 down before anything at next is
+    // dispatched.  Nothing can have been inserted into b+1's fine
+    // slots yet (a direct insert reaches one band past the clock's),
+    // so every fine slot holds migrated events before direct ones:
+    // seq order by construction.
+    if ((next >> kBandBits) != (now_ >> kBandBits))
+        migrateBand((next >> kBandBits) + 1);
+    now_ = next;
 
     // Drain the slot for now_.  Every event in a slot shares one
-    // timestamp: insertions only cover (now_, now_ + kWheelSize], a
-    // window that holds each residue class exactly once.
-    const uint64_t ds = now_ & (kWheelSize - 1);
+    // timestamp: the fine wheel only holds times in the clock's band
+    // and the next, a window that holds each residue class once.
+    const uint64_t ds = now_ & (kFineSize - 1);
     RecordBuf<Event>& slot = wheel_[ds];
     wheelBits_[ds >> 6] &= ~(1ull << (ds & 63));
-    size_t fromWheel = slot.size();
+    const size_t fromWheel = slot.size();
     wheelCount_ -= fromWheel;
-    const bool dirtySlot = wheelDirty_[ds] != 0 && fromWheel > 1;
-    wheelDirty_[ds] = 0;
     bool merged = false;
     while (!overflow_.empty() && overflow_.top().time == now_) {
         slot.push_back(overflow_.top().e);
         overflow_.pop();
         merged = true;
     }
-    // Direct inserts and heap pops are each seq-sorted already; a mix
-    // of both — or a slot flagged by band migration — needs a re-sort
-    // to restore global (time, seq) order.
-    if (dirtySlot || (merged && fromWheel > 0))
+    // Wheel slots and heap pops are each seq-sorted already; a mix of
+    // both needs a re-sort to restore global (time, seq) order.
+    if (merged && fromWheel > 0)
         std::sort(slot.begin(), slot.end(),
                   [](const Event& x, const Event& y) {
                       return x.seq < y.seq;
@@ -1807,14 +1755,10 @@ DataflowSimulator::run(const std::string& name,
         slot.clear();
     wheelBits_.fill(0);
     wheelCount_ = 0;
-    wheelDirty_.fill(0);
-    for (int j = 0; j < kCoarseLevels; j++) {
-        for (RecordBuf<TimedEvent>& band : coarse_[j])
-            band.clear();
-        coarseBits_[j].fill(0);
-        coarseDirty_[j].fill(0);
-        coarseCount_[j] = 0;
-    }
+    for (RecordBuf<TimedEvent>& band : coarse_)
+        band.clear();
+    coarseBits_.fill(0);
+    coarseCount_ = 0;
     overflow_ = {};
     now_ = 0;
     seq_ = 0;

@@ -15,10 +15,11 @@
  *
  * The engine is built for throughput (see docs/SIMULATOR.md):
  *
- *   * Events are dispatched through a same-timestamp ready worklist
- *     plus a time-bucketed calendar wheel; only deliveries scheduled
- *     further than the wheel horizon touch a binary heap.  Ordering is
- *     bit-exact with a global (time, seq) priority queue.
+ *   * Events are dispatched through a same-timestamp ready worklist,
+ *     a fine calendar wheel for the next few hundred cycles and a
+ *     coarse wheel of 256-cycle bands out to 2^16 cycles; only
+ *     deliveries scheduled further ahead touch a binary heap.
+ *     Ordering is bit-exact with a global (time, seq) priority queue.
  *   * Per-port FIFOs store their first two items inline (most ports
  *     hold at most one) and spill to a geometric ring buffer.
  *   * Per-graph metadata is flattened into CSR-style arrays (fifo
@@ -623,8 +624,8 @@ class DataflowSimulator
     };
 
     /** A queued delivery (32 bytes).  Time is implicit: ready_
-     *  events are at now_, each wheel slot holds a single timestamp,
-     *  and coarse-wheel and overflow events carry theirs in
+     *  events are at now_ and each fine-wheel slot holds a single
+     *  timestamp; coarse-wheel and overflow events carry theirs in
      *  TimedEvent. */
     struct Event
     {
@@ -704,8 +705,12 @@ class DataflowSimulator
     void recycle(Activation* a);
     /** Drop all activation storage (end of run / fresh run). */
     void releaseActivations();
-    /** Advance now_ to the next pending timestamp; false when idle. */
+    /** Advance now_ to the next pending timestamp and move its events
+     *  onto ready_; false when idle. */
     bool advanceTime();
+    /** Move coarse band @p band (absolute band index) into the fine
+     *  wheel. */
+    void migrateBand(uint64_t band);
     void sampleQueueCounters(uint64_t now);
     /** Record a degraded outcome; the run loop stops at its next
      *  iteration and run() returns it in SimResult. */
@@ -776,52 +781,42 @@ class DataflowSimulator
     std::vector<uint32_t> regVal_;
     std::vector<uint64_t> regTim_;
 
-    // --- event queue: ready worklist + hierarchical calendar wheel ---
-    /** Fine-wheel horizon in cycles; must be a power of two.  Covers
-     *  the common operator/cache latencies (ALU 1, Mul 3, Div/Rem 20,
-     *  L1/L2 hits, TLB walk).  Events beyond it land in the coarse
-     *  wheels: the macro engine's cascade emissions carry analytic
-     *  max-plus timestamps that run arbitrarily far ahead of the
-     *  dispatch clock (an interior loop replays whole executions from
-     *  one boundary delivery), and funneling those residuals through a
-     *  comparison heap dominated the macro engine's run time. */
-    static constexpr uint64_t kWheelBits = 8;
-    static constexpr uint64_t kWheelSize = 1ull << kWheelBits;
-    static constexpr uint64_t kWheelWords = kWheelSize / 64;
-    /** Coarse levels above the fine wheel.  Level j has kWheelSize
-     *  bands of 2^(kWheelBits*(j+1)) cycles each, so three levels
-     *  push the heap threshold past 2^32 cycles; a band migrates down
-     *  one level when the dispatch clock nears it, giving O(levels)
-     *  pushes per event instead of O(log n) heap percolation. */
-    static constexpr int kCoarseLevels = 3;
+    // --- event queue: ready worklist, fine wheel, coarse wheel, heap --
+    /**
+     * Time is cut into bands of kBandSize cycles.  With B the clock's
+     * band, a delivery lands in the fine wheel for bands B and B+1, in
+     * the coarse wheel for bands B+2 .. B+257, and in the overflow heap
+     * beyond.  Entering band b moves band b+1 from the coarse wheel to
+     * the fine one (advanceTime()), before any direct insert can reach
+     * it, so every wheel slot is in seq order by construction.  The
+     * sizes follow measured traffic: operator and cache latencies stay
+     * within a band, the macro engine's cascade emissions (analytic
+     * max-plus timestamps that run ahead of the dispatch clock) within
+     * 2^15 cycles, so the heap is a correctness fallback that no
+     * measured workload reaches.
+     */
+    static constexpr uint64_t kBandBits = 8;
+    static constexpr uint64_t kBandSize = 1ull << kBandBits;
+    static constexpr uint64_t kFineSize = 2 * kBandSize;
+    static constexpr uint64_t kCoarseBands = 256;
     /** Events at exactly now_, in (time, seq) order. */
     RecordBuf<Event> ready_;
     size_t readyHead_ = 0;
-    /** wheel_[t & (kWheelSize-1)]: events at time t, for t in
-     *  (now_, now_ + kWheelSize]; each slot holds a single timestamp
-     *  (see advanceTime()). */
-    std::array<RecordBuf<Event>, kWheelSize> wheel_;
+    /** wheel_[t & (kFineSize-1)]: events at time t, for t in bands B
+     *  and B+1; each slot holds a single timestamp. */
+    std::array<RecordBuf<Event>, kFineSize> wheel_;
     /** Slot occupancy bits (bit s of word s/64 = slot s non-empty):
      *  advanceTime() finds the nearest pending slot with a circular
      *  count-trailing-zeros scan instead of probing slot by slot. */
-    std::array<uint64_t, kWheelWords> wheelBits_{};
+    std::array<uint64_t, kFineSize / 64> wheelBits_{};
     uint64_t wheelCount_ = 0;
-    /** Fine slots that may hold out-of-seq events: a migrated band
-     *  can append an older (lower-seq) event behind a directly
-     *  inserted one at the same timestamp, so the drain re-sorts
-     *  flagged slots to restore global (time, seq) order. */
-    std::array<uint8_t, kWheelSize> wheelDirty_{};
-    /** coarse_[j][(t >> kWheelBits*(j+1)) & (kWheelSize-1)]: events
-     *  of one band, in insertion order (seq order unless dirty). */
-    std::array<std::array<RecordBuf<TimedEvent>, kWheelSize>,
-               kCoarseLevels>
-        coarse_;
-    std::array<std::array<uint64_t, kWheelWords>, kCoarseLevels>
-        coarseBits_{};
-    std::array<uint64_t, kCoarseLevels> coarseCount_{};
-    std::array<std::array<uint8_t, kWheelSize>, kCoarseLevels>
-        coarseDirty_{};
-    /** Events beyond the coarsest horizon (vanishingly rare). */
+    /** coarse_[b & (kCoarseBands-1)]: the events of band b, in seq
+     *  order, with occupancy bits and a total as for the fine wheel. */
+    std::array<RecordBuf<TimedEvent>, kCoarseBands> coarse_;
+    std::array<uint64_t, kCoarseBands / 64> coarseBits_{};
+    uint64_t coarseCount_ = 0;
+    /** Events beyond the coarse horizon; merged into the fine slot of
+     *  their time when it is drained. */
     std::priority_queue<TimedEvent, std::vector<TimedEvent>,
                         std::greater<TimedEvent>>
         overflow_;

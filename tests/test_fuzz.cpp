@@ -140,6 +140,19 @@ TEST(FuzzOracles, CleanSeedsProduceCleanCases)
     }
 }
 
+TEST(FuzzOracles, BudgetTripIsInconclusiveNotAViolation)
+{
+    // A tripped event budget exits non-zero; that alone must not read
+    // as a compile-exit violation.
+    SoakConfig cfg;
+    cfg.profile = "small";
+    cfg.maxEvents = 10;
+    CaseReport rep = runCase(1, cfg);
+    EXPECT_FALSE(rep.violation()) << rep.category << " — " << rep.detail;
+    EXPECT_TRUE(rep.inconclusive);
+    EXPECT_FALSE(rep.outcomes.empty());
+}
+
 TEST(FuzzOracles, CanaryCorruptionIsDetectedAndMinimizes)
 {
     // Acceptance canary: a graph.corrupt-token injection into a
