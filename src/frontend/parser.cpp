@@ -226,35 +226,9 @@ Parser::parseGlobalTail(TypePtr base, bool isExtern, bool isConst)
             return;
         }
 
-        // Variable: optional array extents.
-        while (accept(Tok::LBracket)) {
-            int64_t n = parseArraySize();
-            expect(Tok::RBracket, "after array size");
-            type = Type::makeArray(type, n);
-        }
-        if (isConst && !type->isConst)
-            type = Type::makeConst(type);
-
-        VarDecl* var = program_.arena->makeVar();
-        var->name = nameTok.text;
-        var->type = type;
-        var->storage = Storage::Global;
+        VarDecl* var =
+            parseVarDeclarator(type, nameTok, Storage::Global, isConst);
         var->isExtern = isExtern;
-        var->loc = nameTok.loc;
-
-        if (accept(Tok::Assign)) {
-            if (accept(Tok::LBrace)) {
-                if (!current().is(Tok::RBrace)) {
-                    do {
-                        var->initList.push_back(parseAssignment());
-                    } while (accept(Tok::Comma) &&
-                             !current().is(Tok::RBrace));
-                }
-                expect(Tok::RBrace, "after initializer list");
-            } else {
-                var->init = parseAssignment();
-            }
-        }
         program_.globals.push_back(var);
 
         if (accept(Tok::Comma))
@@ -262,6 +236,40 @@ Parser::parseGlobalTail(TypePtr base, bool isExtern, bool isConst)
         expect(Tok::Semicolon, "after declaration");
         return;
     }
+}
+
+VarDecl*
+Parser::parseVarDeclarator(TypePtr type, const Token& nameTok,
+                           Storage storage, bool isConst)
+{
+    while (accept(Tok::LBracket)) {
+        int64_t n = parseArraySize();
+        expect(Tok::RBracket, "after array size");
+        type = Type::makeArray(type, n);
+    }
+    if (isConst && !type->isConst)
+        type = Type::makeConst(type);
+
+    VarDecl* var = program_.arena->makeVar();
+    var->name = nameTok.text;
+    var->type = type;
+    var->storage = storage;
+    var->loc = nameTok.loc;
+
+    if (accept(Tok::Assign)) {
+        if (accept(Tok::LBrace)) {
+            if (!current().is(Tok::RBrace)) {
+                do {
+                    var->initList.push_back(parseAssignment());
+                } while (accept(Tok::Comma) &&
+                         !current().is(Tok::RBrace));
+            }
+            expect(Tok::RBrace, "after initializer list");
+        } else {
+            var->init = parseAssignment();
+        }
+    }
+    return var;
 }
 
 VarDecl*
@@ -490,32 +498,8 @@ Parser::parseLocalDecl()
     do {
         TypePtr type = parsePointers(base);
         Token nameTok = expect(Tok::Identifier, "in declaration");
-        while (accept(Tok::LBracket)) {
-            int64_t n = parseArraySize();
-            expect(Tok::RBracket, "after array size");
-            type = Type::makeArray(type, n);
-        }
-        if (isConst && !type->isConst)
-            type = Type::makeConst(type);
-        VarDecl* var = program_.arena->makeVar();
-        var->name = nameTok.text;
-        var->type = type;
-        var->storage = Storage::Local;
-        var->loc = nameTok.loc;
-        if (accept(Tok::Assign)) {
-            if (accept(Tok::LBrace)) {
-                if (!current().is(Tok::RBrace)) {
-                    do {
-                        var->initList.push_back(parseAssignment());
-                    } while (accept(Tok::Comma) &&
-                             !current().is(Tok::RBrace));
-                }
-                expect(Tok::RBrace, "after initializer list");
-            } else {
-                var->init = parseAssignment();
-            }
-        }
-        ds->decls.push_back(var);
+        ds->decls.push_back(
+            parseVarDeclarator(type, nameTok, Storage::Local, isConst));
     } while (accept(Tok::Comma));
     expect(Tok::Semicolon, "after declaration");
     return ds;

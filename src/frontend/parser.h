@@ -46,6 +46,10 @@ class Parser
     TypePtr parseDeclSpecifiers(bool* isExtern, bool* isConst);
     TypePtr parsePointers(TypePtr base);
     void parseGlobalTail(TypePtr base, bool isExtern, bool isConst);
+    /** The rest of a variable declarator after its name: array
+     *  extents, then an optional `= expr` or `= {list}`. */
+    VarDecl* parseVarDeclarator(TypePtr type, const Token& nameTok,
+                                Storage storage, bool isConst);
     FuncDecl* parseFunctionRest(TypePtr retType, const std::string& name,
                                 SourceLoc loc);
     VarDecl* parseParam();

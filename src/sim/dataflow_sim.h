@@ -63,7 +63,7 @@ namespace cash {
  *   * **Event** — every operator firing is a discrete event on the
  *     calendar queue.
  *   * **Macro** — each graph's pure interior (including order-robust
- *     mu-merges) is precompiled into a super-operator op-tape
+ *     mu-merges) is precompiled into a super-operator
  *     (region_compiler.h) evaluated as a streaming cascade over
  *     per-operand ring buffers with analytic (max-plus) timing;
  *     tokens, memory operations, calls and order-sensitive merges
@@ -214,12 +214,16 @@ class DataflowSimulator
         bool isConst = false;
         uint32_t constValue = 0;
     };
-    /** One consumer endpoint: dense node plus its flat fifo slot. */
+    /** One consumer endpoint: dense node plus its flat fifo slot, or
+     *  (macro engine) kRegionNode plus the region input stream the
+     *  delivery feeds. */
     struct Consumer
     {
         int32_t node = -1;
         int32_t slot = -1;
     };
+    /** Consumer::node of a delivery into the graph's region. */
+    static constexpr int32_t kRegionNode = -1;
     /**
      * Per-node hot metadata, packed so the dispatch path touches one
      * small record: flat fifo/port bases, the firing rule, and the
@@ -253,8 +257,6 @@ class DataflowSimulator
         /** For Calls: resolved callee index (null until linked; a
          *  firing with an unresolved callee is a fatal error). */
         const GraphIndex* callee = nullptr;
-        /** For region pseudo-nodes (n == nullptr): the region id. */
-        int32_t region = -1;
     };
     struct GraphIndex
     {
@@ -268,9 +270,9 @@ class DataflowSimulator
         std::vector<InputDesc> inDesc;
         /** CSR consumer lists: consumers of output port @c p of node
          *  @c i are cons[consOff[hot[i].portBase+p] ..
-         *  consOff[hot[i].portBase+p+1]).  A consumer with
-         *  node >= numRealNodes is a region pseudo-node, and its slot
-         *  is the region input stream, not a fifo slot. */
+         *  consOff[hot[i].portBase+p+1]).  A consumer whose node is
+         *  kRegionNode feeds the region: its slot is a region input
+         *  stream, not a fifo slot. */
         std::vector<int> consOff;
         std::vector<Consumer> cons;
         int numFifoSlots = 0;
@@ -282,7 +284,7 @@ class DataflowSimulator
         int initialTokenDense = -1;
         /** One-shot initial values for merge inputs wired to consts,
          *  delivered to `to` (a fifo slot, or a region input stream
-         *  when the merge was absorbed). */
+         *  when the merge was absorbed), in merge order. */
         struct MergeInit
         {
             Consumer to;
@@ -290,35 +292,32 @@ class DataflowSimulator
         };
         std::vector<MergeInit> mergeInits;
         /**
-         * Macro engine: compiled super-operator (region_compiler.h).
-         * The region is materialized as a *pseudo-node* appended
-         * after the real nodes (dense id numRealNodes + r) with no
-         * fifo slots: CSR consumer records that name it carry the
-         * region input stream in their slot, and output() feeds such
-         * deliveries straight into the streaming cascade instead of
-         * the queue.  Interior nodes keep their hot[] entries but
-         * never receive deliveries: their incoming edges are rerouted
-         * to the pseudo-node (or dropped, for interior edges) when
-         * the CSR consumer lists are built.
+         * Macro engine: the graph's compiled super-operator
+         * (region_compiler.h); empty under the event engine and for
+         * graphs without one.  Deliveries into it carry kRegionNode
+         * in their CSR consumer record, and deliver() feeds them
+         * straight into the streaming cascade instead of the queue.
+         * Interior nodes keep their hot[] entries but never receive
+         * deliveries: their incoming edges are rerouted to the region
+         * (or dropped, for interior edges) when the CSR consumer
+         * lists are built.
          */
-        RegionPlan plan;
-        int numRealNodes = 0;
+        CompiledRegion region;
         /** First per-visit firing counter of this graph's region in
          *  DataflowSimulator::regVisitFires_. */
         int32_t visitBase = 0;
         /**
-         * Tiled fabric (docs/FABRIC.md): tile per dense node
-         * (region pseudo-nodes inherit their tape's tile), plus
+         * Tiled fabric (docs/FABRIC.md): tile per dense node and the
+         * region's tile (all of its operators share one), plus
          * per-CSR-consumer hop cost in cycles and credit channel id
          * (-1 = same tile or unbounded credits), parallel to `cons`.
          * All empty on the idealized fabric.
          */
         std::vector<int32_t> tileOf;
+        int32_t regionTile = -1;
         std::vector<int32_t> consHop;
         std::vector<int32_t> consChan;
     };
-    /** NodeHot::kind of a region pseudo-node (outside NodeKind). */
-    static constexpr uint8_t kRegionKind = 0xFF;
 
     // --- dynamic state ------------------------------------------------
     /**
@@ -592,11 +591,11 @@ class DataflowSimulator
         /** Macro engine: super-operator operand streams (one per
          *  CompiledRegion ring) and per-operand consumption counters
          *  (absolute stream positions, indexed like
-         *  CompiledRegion::args).  Empty when the graph compiled no
-         *  region. */
+         *  CompiledRegion::operands).  Empty when the graph compiled
+         *  no region. */
         std::vector<RegRing> regRing;
         std::vector<uint64_t> regConsumed;
-        /** Macro engine: per absorbed merge (RegionOp::mSlot), its
+        /** Macro engine: per absorbed merge (RegionVisit::mSlot), its
          *  mode machine (MergeMode values) and the time it last fired
          *  — mode transitions gate later firings like an extra
          *  operand. */
@@ -661,8 +660,8 @@ class DataflowSimulator
     /** Mark the visits reading input stream @p slot pending in the
      *  cascade's current wave. */
     void seedRegion(Activation* a, int slot);
-    /** One cascade over activation @p a's region: fire every queued
-     *  tape op as often as its streams allow. */
+    /** One cascade over activation @p a's region: fire every pending
+     *  visit as often as its streams allow. */
     void cascadeRegion(Activation* a);
     /** Drain regPending_: cascade every activation with deferred
      *  region deliveries.  Returns whether any cascade ran (the run
@@ -676,9 +675,9 @@ class DataflowSimulator
                                 const std::vector<uint32_t>& args,
                                 uint64_t when, Activation* parent,
                                 int parentCallNode);
-    /** Route one delivery by its consumer record: a region
-     *  pseudo-node absorbs it (fireRegion), any other node gets it
-     *  through the event queue (enqueue). */
+    /** Route one delivery by its consumer record: the region absorbs
+     *  it when the record's node is kRegionNode (fireRegion), any
+     *  other node gets it through the event queue (enqueue). */
     void deliver(Activation* a, Consumer to, Item item, uint64_t when);
     /** Queue a delivery to fifo @p slot of real node @p node. */
     void enqueue(Activation* a, int node, int slot, Item item,

@@ -5,13 +5,21 @@
  *
  * A *region* is the set of pure operators (Arith / Mux / Combine /
  * Eta) plus order-robust mu-merges of one Pegasus graph, compiled
- * into a flat op-tape evaluated *incrementally*: every operand stream
- * is a ring buffer, and each boundary delivery triggers a worklist
+ * into a super-operator evaluated *incrementally*: every operand
+ * stream is a ring buffer, and each boundary delivery triggers a
  * cascade that fires every interior operator as often as its streams
  * allow, computing result values and completion times without any
  * global event dispatch.  Everything stateful whose outcome depends
  * on within-cycle arrival order — token generators, memory
  * operations, calls, returns, loose merges — stays event-driven.
+ *
+ * A graph has at most one region.  compileRegions() returns it as one
+ * CompiledRegion holding only decoded tables: the interior mask, one
+ * operand table per absorbed node (RegionSrc, operand k = input k;
+ * read by the simulator's set-up and deadlock report) and the
+ * cascade's visit tables (RegionVisit, RegionConeOp, gates, seed and
+ * garbage-collection lists).  The compiler's working form stays
+ * private to region_compiler.cpp.
  *
  * Chain fusion: an AND-firing operator whose *every* consumer is a
  * single interior non-merge operator is invisible to the rest of the
@@ -124,59 +132,13 @@ struct RegionGraphView
     std::vector<int32_t> group;
 };
 
-/** Operand of a tape op: a 2-bit tag plus an index, packed in an
- *  int32. */
-enum class RegArg : int32_t
-{
-    Stream = 0, ///< Ring buffer (region input or interior result stream).
-    Const = 1,  ///< Constant (index into the region's constant pool).
-    Reg = 2,    ///< Cone-local register (fused single-consumer chain).
-};
-inline int32_t
-regArgEncode(RegArg tag, int32_t idx)
-{
-    return (idx << 2) | static_cast<int32_t>(tag);
-}
-inline RegArg
-regArgTag(int32_t enc)
-{
-    return static_cast<RegArg>(enc & 3);
-}
-inline int32_t
-regArgIndex(int32_t enc)
-{
-    return enc >> 2;
-}
-
-/** One entry of a region's op-tape (dense-node order): the graph-level
- *  view of an absorbed operator, kept for diagnostics and set-up.  The
- *  cascade itself reads only the pre-decoded visit tables below. */
-struct RegionOp
-{
-    int32_t dense = -1;  ///< Original node (emissions, diagnostics).
-    NodeKind kind = NodeKind::Arith;
-    Op op = Op::Add;
-    bool unary = false;
-    uint8_t latency = 0;
-    /** Some consumer is outside the region: results leave through the
-     *  ordinary output() path. */
-    uint8_t hasExternal = 0;
-    int32_t argOff = 0;  ///< Operands in CompiledRegion::args.
-    int32_t argCnt = 0;
-    /** Interior result stream fed by this op, or -1 when no interior
-     *  consumer exists. */
-    int32_t outRing = -1;
-    /** Merges: dense index into the per-activation mode/time state,
-     *  or -1 for AND-firing operators. */
-    int32_t mSlot = -1;
-};
-
 /**
- * A pre-decoded operand: where one read comes from, resolved at
- * compile time so a firing never decodes RegArg tags.
+ * A decoded operand: where one read comes from, resolved at compile
+ * time.
  *
  *   * `ring >= 0` — stream `ring`, read at consumption counter `x`
- *     (a global arg index into the per-activation counters);
+ *     (the operand's position in CompiledRegion::operands, which
+ *     indexes the per-activation counters);
  *   * `ring == kRegSrcConst` — the constant `x`;
  *   * `ring == kRegSrcReg` — cone register slot `x`;
  *   * `ring == kRegSrcNone` — absent (a merge without a decider).
@@ -200,7 +162,7 @@ struct RegionConeOp
     uint8_t hasExternal = 0;  ///< Sink only: emits through output().
     uint16_t argCnt = 0;
     int32_t dense = -1;       ///< Original node (external emissions).
-    int32_t argOff = 0;       ///< Operands in CompiledRegion::coneArgs.
+    int32_t argOff = 0;       ///< Operands in CompiledRegion::operands.
 };
 
 /**
@@ -238,9 +200,17 @@ struct RegionVisit
 };
 static_assert(sizeof(RegionVisit) == 32, "two visits per cache line");
 
-/** One compiled super-operator (at most one per graph). */
+/**
+ * The compiled super-operator of one graph (a graph has at most one).
+ * A graph without one gets an empty region (empty() is true and every
+ * table is empty).
+ */
 struct CompiledRegion
 {
+    /** Per dense node of the graph: 1 when the region absorbed it. */
+    std::vector<uint8_t> interior;
+    bool empty() const { return interior.empty(); }
+
     /** One boundary input stream: an external producer port with at
      *  least one interior consumer.  The simulator reroutes all its
      *  interior consumer edges to a single collapsed delivery. */
@@ -253,10 +223,16 @@ struct CompiledRegion
      *  streams follow. */
     std::vector<Input> inputs;
     int32_t numRings = 0;
-    std::vector<RegionOp> tape;
-    /** Encoded operands (RegArg), operand k of a tape op being input
-     *  k of its node (diagnostics, set-up). */
-    std::vector<int32_t> args;
+    /**
+     * Decoded operands of every absorbed node, in dense-node order:
+     * operand k of dense node d is operands[operandOff[d] + k], input
+     * k of that node.  operandOff has one entry per dense node plus a
+     * sentinel; a node outside the region has an empty range.  An
+     * operand's position is also the index of its per-activation
+     * consumption counter.
+     */
+    std::vector<int32_t> operandOff;
+    std::vector<RegionSrc> operands;
     /** Absorbed merge count: sizes per-activation mode/time state. */
     int32_t numMerges = 0;
     /** Per input stream: original interior consumer edge count; a
@@ -266,7 +242,6 @@ struct CompiledRegion
     /** Cascade visits, indexed by scan position. */
     std::vector<RegionVisit> visits;
     std::vector<RegionConeOp> coneOps;
-    std::vector<RegionSrc> coneArgs;
     /** Gate and merge-operand ranges (RegionVisit::gateOff). */
     std::vector<RegionSrc> gates;
     /** Ring -> scan positions of the visits reading it (cascade
@@ -279,30 +254,20 @@ struct CompiledRegion
     /** Widest cone (sizes the evaluator's register scratch). */
     int32_t coneMax = 0;
     /** Ring -> consuming operand positions (ring garbage collection):
-     *  entries are global arg indices, whose consumption counters
-     *  bound the reclaimable prefix. */
+     *  entries index `operands`, whose consumption counters bound the
+     *  reclaimable prefix. */
     std::vector<int32_t> gcOff;
     std::vector<int32_t> gcArg;
-    /** args.size(): sizes the per-activation consumption counters. */
-    int32_t totalArgs = 0;
-};
-
-/** Result of compiling one graph. */
-struct RegionPlan
-{
-    std::vector<CompiledRegion> regions;
-    /** Per dense node: owning region id, or -1 (event-driven). */
-    std::vector<int32_t> regionOf;
 };
 
 /**
- * Compile @p view's pure interior into a super-operator.  Graphs with
- * fewer than @p minOps candidates stay fully event-driven (a one-op
- * region only adds dispatch overhead).  Deterministic: the result
- * depends only on the view, never on iteration order of runtime
- * containers.
+ * Compile @p view's pure interior into its super-operator.  Graphs
+ * with fewer than @p minOps candidates stay fully event-driven and get
+ * an empty region (a one-op region only adds dispatch overhead).
+ * Deterministic: the result depends only on the view, never on
+ * iteration order of runtime containers.
  */
-RegionPlan compileRegions(const RegionGraphView& view, int minOps = 2);
+CompiledRegion compileRegions(const RegionGraphView& view, int minOps = 2);
 
 } // namespace cash
 

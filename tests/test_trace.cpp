@@ -443,8 +443,11 @@ everyLayerRequest()
     req.analyze = true;
     EXPECT_TRUE(req.target.merge("fabric=2x2").isOk());
     req.runSpec = k.entry + "(";
-    for (size_t i = 0; i < k.args.size(); i++)
-        req.runSpec += (i ? "," : "") + std::to_string(k.args[i]);
+    for (size_t i = 0; i < k.args.size(); i++) {
+        if (i)
+            req.runSpec += ",";
+        req.runSpec += std::to_string(k.args[i]);
+    }
     req.runSpec += ")";
     return req;
 }
